@@ -18,14 +18,13 @@ workload and the committed full baseline, unlike raw runs/s.
 """
 
 import argparse
-import json
 import os
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
-from conftest import emit, emit_json
+from conftest import emit, emit_json, read_baseline
 
 from repro.analysis.tables import Table
 from repro.campaign import CampaignSpec, ResultStore, ShardSelector, run_campaign
@@ -107,11 +106,9 @@ def run_sharded(duration_s: float, shards: int = SHARDS) -> dict:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def check_against(baseline_path: str, tolerance: float, duration_s: float,
+def check_against(baseline: dict, baseline_path: str, tolerance: float, duration_s: float,
                   serial_runs_per_s: float, sharded_runs_per_s: float) -> int:
     """Compare duration-invariant sim-s/s against the committed baseline."""
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
     reference_duration = float(baseline["run_duration_s"])
     checks = [
         ("campaign serial sim-s/s", serial_runs_per_s * duration_s,
@@ -161,6 +158,7 @@ def main(argv=None) -> int:
 
     duration_s = 600.0 if args.quick else args.duration
     attempts = args.best_of or (3 if args.check_against else 1)
+    baseline = read_baseline(args.check_against) if args.check_against else None
     cpus = os.cpu_count() or 1
     total = _spec(duration_s).grid_size()
 
@@ -203,10 +201,10 @@ def main(argv=None) -> int:
     if parallel_runs_per_s is not None:
         payload["best_parallel_elapsed_s"] = total / parallel_runs_per_s
         payload["best_parallel_runs_per_s"] = parallel_runs_per_s
-    emit_json("campaign", payload)
+    emit_json("campaign", payload, baseline=args.check_against)
 
-    if args.check_against:
-        return check_against(args.check_against, args.tolerance, duration_s,
+    if baseline is not None:
+        return check_against(baseline, args.check_against, args.tolerance, duration_s,
                              serial_runs_per_s, sharded["runs_per_s"])
     return 0
 

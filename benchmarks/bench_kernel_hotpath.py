@@ -34,10 +34,9 @@ so one scheduler hiccup cannot fail the gate.
 """
 
 import argparse
-import json
 import time
 
-from conftest import emit_json
+from conftest import emit_json, read_baseline
 
 from repro.sim.kernel import Simulator
 
@@ -135,7 +134,7 @@ def run_pca(runs: int, duration_s: float) -> tuple:
     return runs / elapsed, elapsed
 
 
-def check_against(baseline_path: str, tolerance: float,
+def check_against(baseline: dict, baseline_path: str, tolerance: float,
                   events_per_s: float, runs_per_s: float, pca_duration: float) -> int:
     """Compare this run to a committed baseline record; returns exit status.
 
@@ -146,8 +145,6 @@ def check_against(baseline_path: str, tolerance: float,
       comparable between the quick (1 h) CI run and the committed full
       (3 h) baseline, unlike raw runs/s.
     """
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
     checks = [
         ("events/s", events_per_s, float(baseline["events_per_s"])),
         ("pca sim-s/s", runs_per_s * pca_duration,
@@ -200,6 +197,7 @@ def main(argv=None) -> int:
     pca_duration = 3600.0 if args.quick else args.pca_duration
     gating = bool(args.check_against) or args.obs_overhead_gate is not None
     attempts = args.best_of or (3 if gating else 1)
+    baseline = read_baseline(args.check_against) if args.check_against else None
 
     events_per_s = run_synthetic_baseline(n_events, attempts)
     print(f"kernel synthetic: {n_events} events -> {events_per_s:,.0f} events/s"
@@ -228,7 +226,7 @@ def main(argv=None) -> int:
         "pca_elapsed_s": pca_elapsed,
         "runs_per_s": runs_per_s,
         "obs_metrics": dict(obs_stats, overhead_frac=obs_overhead),
-    })
+    }, baseline=args.check_against)
 
     status = 0
     if args.obs_overhead_gate is not None:
@@ -240,8 +238,8 @@ def main(argv=None) -> int:
         else:
             print(f"[obs-gate] ok: overhead {obs_overhead:.1%} within "
                   f"{args.obs_overhead_gate:.0%}")
-    if args.check_against:
-        status = check_against(args.check_against, args.tolerance,
+    if baseline is not None:
+        status = check_against(baseline, args.check_against, args.tolerance,
                                events_per_s, runs_per_s, pca_duration) or status
     return status
 

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -55,18 +56,35 @@ def emit(table) -> None:
     print(f"[bench-meta] git_sha={meta['git_sha']} timestamp={meta['timestamp']}")
 
 
-def emit_json(name: str, payload: dict) -> Path:
+def read_baseline(path: str) -> dict:
+    """Load a ``--check-against`` baseline record.
+
+    Gates call this before they measure or emit anything, so the record
+    they compare against is the committed one, never this run's output.
+    """
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def emit_json(name: str, payload: dict, *, baseline: Optional[str] = None) -> Optional[Path]:
     """Write ``BENCH_<name>.json`` (payload + git sha + ISO timestamp).
 
     The output directory defaults to the repository root so the trajectory
     files sit next to ROADMAP.md; override with the ``BENCH_DIR`` env var
-    (CI points it at the artifact upload directory).
+    (CI points it at the artifact upload directory).  ``baseline`` is the
+    file a gate compares against: this refuses to write onto it (returns
+    None), so a gate run without ``BENCH_DIR`` cannot replace its own
+    baseline.
     """
     directory = Path(os.environ.get("BENCH_DIR", REPO_ROOT))
+    path = directory / f"BENCH_{name}.json"
+    if baseline is not None and path.resolve() == Path(baseline).resolve():
+        print(f"[bench-json] not writing {path}: it is the --check-against "
+              f"baseline; set BENCH_DIR to keep this run's record")
+        return None
     directory.mkdir(parents=True, exist_ok=True)
     record = dict(payload)
     record.update(bench_meta())
-    path = directory / f"BENCH_{name}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     print(f"[bench-json] wrote {path}")

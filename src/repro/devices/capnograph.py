@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
+from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice, clamp
 from repro.patient.model import PatientModel
 from repro.sim.trace import TraceRecorder
 
@@ -85,7 +85,7 @@ class Capnograph(MedicalDevice):
         etco2 = BASELINE_ETCO2_MMHG / max(ventilation_fraction, BASELINE_ETCO2_MMHG / MAX_ETCO2_MMHG)
         if self._rng is not None:
             etco2 += float(self._rng.normal(0.0, self.config.etco2_noise_sd))
-        etco2 = float(np.clip(etco2, 0.0, MAX_ETCO2_MMHG))
+        etco2 = clamp(etco2, 0.0, MAX_ETCO2_MMHG)
 
         if self._frozen:
             if self._frozen_rr is None:

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
+from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice, clamp
 from repro.patient.model import PatientModel
 from repro.sim.trace import TraceRecorder
 
@@ -160,7 +160,7 @@ class PulseOximeter(MedicalDevice):
         if self._rng is not None:
             spo2 += float(self._rng.normal(0.0, self.config.spo2_noise_sd))
             heart_rate += float(self._rng.normal(0.0, self.config.heart_rate_noise_sd))
-        self._spo2_window.append(float(np.clip(spo2, 0.0, 100.0)))
+        self._spo2_window.append(clamp(spo2, 0.0, 100.0))
         self._hr_window.append(max(0.0, heart_rate))
 
         if self._frozen:

@@ -5,6 +5,37 @@ uplink channel to the bus and the bus forwards messages to subscriber
 downlink channels, so end-to-end latency is the sum of two channel delays
 plus any bus processing delay.  Channels can be degraded or cut by the fault
 injector to model communication failures.
+
+Each topic's route is compiled when subscriptions are wired: the downlinks
+of its subscribed endpoints, deduplicated in subscription order.
+:meth:`DeviceBus.publish` resolves the whole route at publish time, so a
+reading costs one kernel event per subscribed endpoint (its downlink
+delivery tick, shared with other messages landing at the same instant) and
+none at all on a topic nobody subscribes to:
+
+* the uplink takes its sequence number, outage test, loss draw and jitter
+  draw now (:meth:`Channel.route`) and yields the arrival ``t_up``;
+* the forward instant is ``t_fwd = t_up + processing_delay_s``;
+* each subscribed downlink sends the message at ``t_fwd``
+  (:meth:`Channel.send_at`) into its batch at ``t_fwd + downlink latency``;
+  the downlink's outage test for ``t_fwd`` runs when that batch fires and
+  honours outages added at or before ``t_fwd``.
+
+Because routes are resolved at publish time, a ``subscribe`` made mid-run
+affects only later publishes, and readings published at the same instant are
+forwarded in publish order, even when a command sent to a device earlier in
+that instant shares the device's uplink tick.  A downlink tick still fires
+when an outage has dropped every message in it, since it was scheduled
+before the outage test ran.  On stochastic links every draw is taken at
+publish time in this order: the uplink's loss draw (skipped during an uplink
+outage) and jitter draw, then for each subscribed downlink in route order
+its loss draw and jitter draw.  The statistics still read as though each hop
+happened at its own instant: :attr:`DeviceBus.forwarded_count` and
+:meth:`DeviceBus.stats` count a forward at ``t_fwd``, and nothing still in
+flight when the simulation stops (the ``bus.forwarded`` metric, by contrast,
+counts forwards when they are routed).  Commands
+(:meth:`DeviceBus.send_command`) are the only traffic the uplink channels
+deliver themselves.
 """
 
 from __future__ import annotations
@@ -26,7 +57,7 @@ COMMAND_TOPIC_PREFIX = "__command__:"
 class Envelope:
     """Bus forwarding envelope: the original payload plus its publish time.
 
-    One envelope is built per forwarded message (shared by every subscriber
+    One envelope is built per routed reading (shared by every subscriber
     copy) on the simulation's hottest messaging path; a slotted class keeps
     that cheaper than a fresh two-key dict per subscriber and makes the
     contract explicit.  Treat instances as immutable.
@@ -82,10 +113,12 @@ class DeviceBus:
         self._uplinks: Dict[str, Channel] = {}
         self._downlinks: Dict[str, Channel] = {}
         self._subscriptions: Dict[str, List[Tuple[str, Callable[[str, Any, Message], None]]]] = {}
+        # Compiled routes: topic -> subscribed downlinks, deduplicated in
+        # subscription order (rebuilt by subscribe()).
+        self._routes: Dict[str, Tuple[Channel, ...]] = {}
         self._attached_devices: Dict[str, MedicalDevice] = {}
         self._command_routes: set = set()
         self.published_count = 0
-        self.forwarded_count = 0
         # Registry-backed metrics; None unless repro.obs was enabled when
         # this bus was constructed.
         self._obs = bus_instruments()
@@ -113,14 +146,12 @@ class DeviceBus:
 
     def _make_uplink(self, device_id: str) -> Channel:
         if device_id not in self._uplinks:
-            channel = Channel(
+            self._uplinks[device_id] = Channel(
                 self.simulator,
                 name=f"uplink:{device_id}",
                 config=self.config.uplink,
                 rng=self._rng,
             )
-            channel.subscribe(self._on_uplink_message)
-            self._uplinks[device_id] = channel
         return self._uplinks[device_id]
 
     def uplink(self, device_id: str) -> Channel:
@@ -137,58 +168,42 @@ class DeviceBus:
     def channels(self) -> List[Channel]:
         return list(self._uplinks.values()) + list(self._downlinks.values())
 
+    @property
+    def forwarded_count(self) -> int:
+        """Forwards whose instant ``t_fwd`` the clock has reached.
+
+        One per subscribed endpoint per routed reading, dropped or not: the
+        sum of the downlinks' sends (only the bus sends on its downlinks).
+        """
+        return sum(downlink.sent for downlink in self._downlinks.values())
+
     # ------------------------------------------------------------ publishing
-    def publish(self, device_id: str, topic: str, payload: Any) -> None:
-        """Called by devices; routes the message through the device's uplink."""
-        uplink = self._make_uplink(device_id)
+    def publish(self, device_id: str, topic: str, payload: Any) -> None:  # repro-lint: hot
+        """Called by devices; resolves the reading's route to every subscriber."""
+        uplink = self._uplinks.get(device_id)
+        if uplink is None:
+            uplink = self._make_uplink(device_id)
         self.published_count += 1
-        if self._obs is not None:
-            self._obs.published.value += 1
-        if self.trace is not None:
-            self.trace.event(self.simulator.now, f"bus:publish:{topic}", payload, source=device_id)
-        uplink.send(device_id, topic, payload)
-
-    def _on_uplink_message(self, message: Message) -> None:
-        """Uplink delivery: forward to each subscriber after bus processing delay."""
-        if message.topic.startswith(COMMAND_TOPIC_PREFIX):
-            # Commands ride the uplink in reverse and are delivered by their
-            # own topic subscription in send_command(); forwarding them here
-            # would schedule one phantom kernel event per command that fans
-            # out to nobody.
-            return
-        self.simulator.schedule(
-            self.config.processing_delay_s,
-            lambda: self._forward(message),
-            name=f"bus:forward:{message.topic}",
-        )
-
-    def _forward(self, message: Message) -> None:  # repro-lint: hot
-        # Deliver one copy per subscribed endpoint; the endpoint's downlink
-        # channel then fans the message out to the handlers registered at
-        # subscribe() time.  The original publish time travels in the
-        # envelope for end-to-end latency accounting.  Dedup with an
-        # insertion-ordered dict, NOT a set: subscription (insertion) order
-        # makes delivery order — and hence downlink sequence numbers and
-        # kernel tiebreaks — independent of PYTHONHASHSEED.  The plain loop
-        # (vs dict.fromkeys over a genexpr) keeps the per-forward generator
-        # frame off this hot path without changing iteration order.
-        subscriptions = self._subscriptions.get(message.topic)
-        if not subscriptions:
-            return
-        endpoints = {}
-        for endpoint_id, _ in subscriptions:
-            if endpoint_id not in endpoints:
-                endpoints[endpoint_id] = None
-        envelope = Envelope(message.payload, message.sent_at)
         obs = self._obs
-        for endpoint_id in endpoints:
-            downlink = self._downlinks.get(endpoint_id)
-            if downlink is None:
-                continue
-            self.forwarded_count += 1
-            if obs is not None:
-                obs.forwarded.value += 1
-            downlink.send(message.sender, message.topic, envelope)
+        if obs is not None:
+            obs.published.value += 1
+        now = self.simulator.now
+        if self.trace is not None:
+            self.trace.event(now, f"bus:publish:{topic}", payload, source=device_id)
+        arrival = uplink.route(device_id, topic, payload)
+        if arrival is None:
+            return
+        downlinks = self._routes.get(topic)
+        if downlinks is None:
+            return
+        # The original publish time travels in the envelope for end-to-end
+        # latency accounting.
+        forward_at = arrival + self.config.processing_delay_s
+        envelope = Envelope(payload, now)
+        for downlink in downlinks:
+            downlink.send_at(forward_at, device_id, topic, envelope)
+        if obs is not None:
+            obs.forwarded.value += len(downlinks)
 
     # ---------------------------------------------------------- subscribing
     def subscribe(
@@ -211,7 +226,14 @@ class DeviceBus:
             handler(topic, envelope.payload, message)
 
         downlink.subscribe(_deliver, topic=topic)
-        self._subscriptions.setdefault(topic, []).append((endpoint_id, handler))
+        subscriptions = self._subscriptions.setdefault(topic, [])
+        subscriptions.append((endpoint_id, handler))
+        if not topic.startswith(COMMAND_TOPIC_PREFIX):
+            # Dedup with an insertion-ordered dict, NOT a set: subscription
+            # order makes delivery order -- and hence downlink sequence
+            # numbers and kernel tiebreaks -- independent of PYTHONHASHSEED.
+            endpoints = dict.fromkeys(endpoint for endpoint, _ in subscriptions)
+            self._routes[topic] = tuple(self._downlinks[endpoint] for endpoint in endpoints)
 
     def subscribers(self, topic: str) -> List[str]:
         return [endpoint for endpoint, _ in self._subscriptions.get(topic, [])]
@@ -225,6 +247,9 @@ class DeviceBus:
         parameters: Optional[Dict[str, Any]] = None,
     ) -> bool:
         """Send a command to a device through its uplink channel (reverse path).
+
+        Commands never enter the pub/sub routes: the uplink channel delivers
+        them itself, one kernel event per delivery tick.
 
         Returns True if the command was handed to the network (delivery may
         still fail if the channel drops it or the device rejects it).

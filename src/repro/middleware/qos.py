@@ -11,7 +11,9 @@ back to a safe state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.sim.kernel import Simulator
@@ -38,13 +40,52 @@ class TopicQoS:
             raise ValueError("max_latency_s must be positive")
 
 
+#: From CPython 3.12 on, ``sum()`` of floats compensates rounding
+#: (Neumaier); earlier versions add left to right.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
 @dataclass
 class TopicStats:
+    """Per-topic delivery statistics.
+
+    Latencies stream into a count (``deliveries``), a sum and a maximum,
+    updated in delivery order the way this interpreter's ``sum()`` and
+    ``max()`` fold a list, so :attr:`mean_latency` and :attr:`max_latency`
+    equal ``sum(latencies) / len(latencies)`` and ``max(latencies)`` bit for
+    bit without keeping the list.
+    """
+
     deliveries: int = 0
     deadline_violations: int = 0
     last_delivery_time: Optional[float] = None
     last_published_time: Optional[float] = None
-    latencies: List[float] = field(default_factory=list)
+    latency_sum: float = 0.0
+    latency_compensation: float = 0.0
+    max_latency: float = 0.0
+
+    def add_latency(self, latency: float) -> None:
+        """Count one delivery with this (non-negative) latency."""
+        self.deliveries += 1
+        total = self.latency_sum + latency
+        if _COMPENSATED_SUM:
+            if abs(self.latency_sum) >= abs(latency):
+                self.latency_compensation += (self.latency_sum - total) + latency
+            else:
+                self.latency_compensation += (latency - total) + self.latency_sum
+        self.latency_sum = total
+        if latency > self.max_latency:
+            self.max_latency = latency
+
+    @property
+    def mean_latency(self) -> float:
+        if self.deliveries == 0:
+            return 0.0
+        total = self.latency_sum
+        compensation = self.latency_compensation
+        if compensation and math.isfinite(compensation):
+            total += compensation
+        return total / self.deliveries
 
 
 class QoSMonitor:
@@ -69,11 +110,10 @@ class QoSMonitor:
         """Record a delivery; called by supervisors from their subscription handlers."""
         delivered_at = self.simulator.now if delivered_at is None else delivered_at
         stats = self._stats.setdefault(topic, TopicStats())
-        stats.deliveries += 1
         stats.last_delivery_time = delivered_at
         stats.last_published_time = published_at
         latency = max(0.0, delivered_at - published_at)
-        stats.latencies.append(latency)
+        stats.add_latency(latency)
         contract = self._contracts.get(topic)
         if contract is not None and latency > contract.max_latency_s:
             stats.deadline_violations += 1
@@ -105,15 +145,11 @@ class QoSMonitor:
 
     def mean_latency(self, topic: str) -> float:
         stats = self._stats.get(topic)
-        if stats is None or not stats.latencies:
-            return 0.0
-        return sum(stats.latencies) / len(stats.latencies)
+        return 0.0 if stats is None else stats.mean_latency
 
     def max_latency(self, topic: str) -> float:
         stats = self._stats.get(topic)
-        if stats is None or not stats.latencies:
-            return 0.0
-        return max(stats.latencies)
+        return 0.0 if stats is None else stats.max_latency
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         return {

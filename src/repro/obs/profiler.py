@@ -2,11 +2,11 @@
 
 Attach a :class:`SamplingProfiler` to a simulator and every ``every``-th
 executed event is timed with ``time.perf_counter`` and attributed to its
-*callback owner* — the device, channel, or middleware component named in
-the event's ``name`` (the kernel already stamps ``"<process>:<method>"``,
-``"channel:<link>:deliver"``, and ``"bus:forward:<topic>"`` names on the
-hot paths).  Sampling bounds the overhead: the other ``every - 1`` events
-pay one decrement and one comparison.
+*callback owner* — the device, channel, or middleware component named in the
+event's ``name`` (the kernel already stamps ``"<process>:<method>"`` and
+``"channel:<link>:deliver"`` names on the hot paths).  Sampling bounds the
+overhead: the other ``every - 1`` events pay one decrement and one
+comparison.
 
 The profiler is independent of the metrics enable switch — it is opt-in
 per simulator — but its results export through the same NDJSON snapshot
@@ -32,16 +32,14 @@ def owner_of(name: str) -> str:
     """Map an event name to the component that owns its callback.
 
     ``"channel:uplink:dev-a:deliver"`` -> ``"channel:uplink:dev-a"`` (the
-    link), ``"bus:forward:vitals"`` -> ``"bus"``, ``"pump-1:_tick"`` ->
-    ``"pump-1"`` (the process), unnamed events -> ``"<anonymous>"``.
+    link), ``"pump-1:_tick"`` -> ``"pump-1"`` (the process), unnamed events
+    -> ``"<anonymous>"``.
     """
     if not name:
         return "<anonymous>"
     if name.startswith("channel:"):
         cut = name.rfind(":")
         return name[:cut] if cut > len("channel:") else name
-    if name.startswith("bus:"):
-        return "bus"
     return name.split(":", 1)[0]
 
 

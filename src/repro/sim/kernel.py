@@ -107,6 +107,11 @@ class Simulator:
         return self._now
 
     @property
+    def running(self) -> bool:
+        """True while :meth:`run` is dispatching events."""
+        return self._running
+
+    @property
     def event_count(self) -> int:
         """Number of events executed so far (useful for cost accounting)."""
         return self._event_count

@@ -2,13 +2,13 @@
 
 Covers four fixes:
 
-* ``DeviceBus._forward`` iterated a ``set`` of endpoint ids, making downlink
+* The bus's forwarding step iterated a ``set`` of endpoint ids, making downlink
   delivery order (and hence sequence numbers and kernel tiebreaks) depend on
   ``PYTHONHASHSEED``.
 * ``Channel`` retained every delivered message and latency forever — an
   O(events) memory leak at campaign scale.
-* ``DeviceBus.send_command`` messages also hit the topic-less uplink
-  subscription, scheduling one phantom forward event per command.
+* ``DeviceBus.send_command`` messages also entered the forwarding path,
+  scheduling one phantom forward event per command.
 * ``Channel`` silently disabled configured jitter/loss when no rng was
   provided.
 """
@@ -167,24 +167,27 @@ class TestChannelRetention:
 
 
 class TestCommandPathIsolation:
-    def test_commands_do_not_enter_forwarding_path(self, monkeypatch):
+    def test_commands_do_not_enter_forwarding_path(self):
         simulator, bus, device = _make_bus()
-        forwarded_topics = []
-        original_forward = bus._forward
-        monkeypatch.setattr(
-            bus, "_forward",
-            lambda message: (forwarded_topics.append(message.topic),
-                             original_forward(message)))
         bus.subscribe("listener", "t", lambda t, p, m: None)
+        # Even an endpoint subscribed to the command topic itself must not
+        # receive the command through the pub/sub routes.
+        bus.subscribe("snoop", "__command__:dev-1:ping", lambda t, p, m: None)
+        downlink_deliveries = []
+        for endpoint in ("listener", "snoop"):
+            bus.downlink(endpoint).subscribe(
+                lambda m, e=endpoint: downlink_deliveries.append((e, m.topic)))
         bus.send_command("supervisor", "dev-1", "ping", {"n": 1})
         bus.send_command("supervisor", "dev-1", "ping", {"n": 2})
         device.publish("t", {"v": 1})
         simulator.run()
         # Commands reached the device...
         assert device.pings == [{"n": 1}, {"n": 2}]
-        # ...but never scheduled a bus:forward event; only the real publish did.
-        assert forwarded_topics == ["t"]
+        # ...but produced no downlink delivery; only the real publish did.
+        assert downlink_deliveries == [("listener", "t")]
         assert bus.forwarded_count == 1
+        # One uplink tick carried both pings, one downlink tick the reading.
+        assert simulator.event_count == 2
 
     def test_command_only_traffic_forwards_nothing(self):
         simulator, bus, device = _make_bus()
