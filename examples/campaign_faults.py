@@ -29,8 +29,8 @@ from repro.campaign import (
     CampaignSpec,
     ResilienceConfig,
     RetryPolicy,
-    campaign_table,
     run_campaign,
+    streaming_campaign_table,
 )
 
 
@@ -78,6 +78,7 @@ def main() -> int:
         resume=args.out is not None and Path(args.out, "results.jsonl").exists(),
         resilience=ResilienceConfig(
             retry=RetryPolicy(max_attempts=3),
+            # Only a worker pool can preempt a run; serial campaigns reject it.
             run_timeout_s=600.0 if args.workers > 1 else None,
         ),
     )
@@ -89,7 +90,7 @@ def main() -> int:
         print(f"quarantined runs -> {report.directory / 'errors.jsonl'}; "
               "re-run with the same --out to re-dispatch them")
 
-    table = campaign_table(
+    table = streaming_campaign_table(
         report.records,
         group_by=["mode", "fault0.duration"],
         metrics=["harmed", "time_below_spo2_90_s", "supervisor_stops"],

@@ -26,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.campaign import CampaignSpec, campaign_table, run_campaign
+from repro.campaign import CampaignSpec, run_campaign, streaming_campaign_table
 from repro.topology import standard_hospital
 
 
@@ -89,7 +89,7 @@ def main() -> None:
           f"{report.executed} executed, {report.skipped} resumed)")
     print()
 
-    print(campaign_table(
+    print(streaming_campaign_table(
         report.records,
         group_by=("security_posture",),
         metrics=("alarms_total", "caregiver_alarms_missed", "supervisor_stops",
@@ -99,7 +99,7 @@ def main() -> None:
               f"({args.wards * args.beds}-bed hospital)",
     ).render())
     print()
-    print(campaign_table(
+    print(streaming_campaign_table(
         report.records,
         group_by=("topology",),
         metrics=("caregivers", "caregiver_alarms_received",

@@ -10,9 +10,9 @@ Carlo campaigns:
 * :mod:`~repro.campaign.spec` -- :class:`~repro.campaign.spec.CampaignSpec`
   parameter-sweep / cohort expansion into stable, individually seeded
   :class:`~repro.campaign.spec.RunManifest` entries.
-* :mod:`~repro.campaign.engine` -- parallel execution via
-  ``multiprocessing`` with a deterministic serial fallback; serial and
-  parallel campaigns produce byte-identical finalized results.
+* :mod:`~repro.campaign.engine` -- one serial loop and one watchdog-
+  supervised ``multiprocessing`` pool path; serial and parallel campaigns
+  produce byte-identical finalized results.
 * :mod:`~repro.campaign.store` -- streaming JSONL result store with
   checkpoint/resume of partially completed campaigns and a quarantine
   file (``errors.jsonl``) for failed runs.
@@ -25,7 +25,7 @@ Carlo campaigns:
   (:meth:`~repro.campaign.store.ResultStore.merge`).
 * :mod:`~repro.campaign.aggregate` -- grouped aggregation feeding
   :mod:`repro.analysis` (summary tables, safety outcomes) over thousands
-  of stored runs, materialised or streaming (running moments + a
+  of stored runs, streamed record at a time (running moments + a
   deterministic quantile sketch for fleet-scale stores).
 * :mod:`~repro.campaign.cli` -- ``python -m repro.campaign run <spec>``.
 """
@@ -34,12 +34,10 @@ from repro.campaign.aggregate import (
     QuantileSketch,
     RunningMoments,
     StreamingAggregator,
-    campaign_table,
     group_records,
     safety_outcomes,
     safety_table,
     streaming_campaign_table,
-    summarise_metric,
 )
 from repro.campaign.engine import CampaignEngine, CampaignReport, run_campaign
 from repro.campaign.sharding import (
@@ -96,7 +94,6 @@ __all__ = [
     "TransientError",
     "all_shards",
     "campaign_scenario",
-    "campaign_table",
     "cohort_patient",
     "current_attempt",
     "get_scenario",
@@ -112,6 +109,5 @@ __all__ = [
     "safety_outcomes",
     "safety_table",
     "streaming_campaign_table",
-    "summarise_metric",
     "write_shard_manifests",
 ]

@@ -6,19 +6,16 @@ groups them along swept parameters and pushes the grouped metrics through
 :mod:`repro.analysis.tables`, so the tables the benchmarks print over
 dozens of in-process runs can be reproduced over thousands of stored ones.
 
-Two aggregation paths share one semantics:
-
-* the *materialised* path (:func:`campaign_table`) holds every record in
-  memory — fine for bench-sized campaigns;
-* the *streaming* path (:func:`streaming_campaign_table`) consumes records
-  one at a time through :class:`RunningMoments` (Welford count/mean/M2)
-  and a deterministic :class:`QuantileSketch`, so a report over a 10⁵-run
-  store holds per-group state, never the records.  Below the sketch
-  capacity the streaming path retains the exact sample and computes
-  through the same :func:`~repro.analysis.stats.summarise`, so its tables
-  are *bit-identical* to the materialised ones; past capacity it degrades
-  gracefully to Welford moments and sketch quantiles (still deterministic:
-  the sketch compacts by parity, never randomness).
+Summary tables have one implementation, :func:`streaming_campaign_table`.
+It consumes records one at a time through :class:`RunningMoments` (Welford
+count/mean/M2) and a deterministic :class:`QuantileSketch`, so a report
+over a 10⁵-run store holds per-group state, never the records.  Below the
+sketch capacity it retains the exact sample and computes through
+:func:`~repro.analysis.stats.summarise`, so its tables are *bit-identical*
+to summarising each group's full sample (``tests/reference_aggregate.py``
+keeps that materialised path as the differential oracle); past capacity it
+degrades gracefully to Welford moments and sketch quantiles (still
+deterministic: the sketch compacts by parity, never randomness).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional,
 from types import SimpleNamespace
 
 from repro.analysis.metrics import SafetyOutcome, aggregate_outcomes
-from repro.analysis.stats import Summary, summarise
+from repro.analysis.stats import summarise
 from repro.analysis.tables import Table
 from repro.campaign.registry import CampaignError
 from repro.campaign.spec import axis_id_value
@@ -65,63 +62,6 @@ def group_records(
         key = tuple(_lookup(record, field) for field in by)
         groups.setdefault(key, []).append(record)
     return groups
-
-
-def metric_values(records: Iterable[Mapping[str, Any]], metric: str) -> List[float]:
-    """The numeric values of one result metric across records (None skipped)."""
-    values = []
-    for record in records:
-        value = record["result"].get(metric)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = 1.0 if value else 0.0
-        if not isinstance(value, (int, float)):
-            raise CampaignError(f"result field {metric!r} is not numeric: {value!r}")
-        values.append(float(value))
-    return values
-
-
-def summarise_metric(
-    records: Iterable[Mapping[str, Any]], metric: str
-) -> Summary:
-    """Five-number summary of one result metric across records."""
-    return summarise(metric_values(records, metric))
-
-
-def campaign_table(
-    records: Sequence[Mapping[str, Any]],
-    *,
-    group_by: Sequence[str],
-    metrics: Sequence[str],
-    title: str = "campaign summary",
-    statistic: str = "mean",
-    notes: Optional[str] = None,
-) -> Table:
-    """Summary table: one row per group, one column per metric statistic."""
-    if statistic not in STATISTICS:
-        raise CampaignError(f"unknown statistic {statistic!r}")
-    columns = list(group_by) + ["runs"] + [f"{statistic}_{metric}" for metric in metrics]
-    table = Table(title, columns, notes=notes)
-    for key, group in group_records(records, group_by).items():
-        row: List[Any] = list(key) + [len(group)]
-        for metric in metrics:
-            values = metric_values(group, metric)
-            if not values:
-                row.append(float("nan"))
-                continue
-            summary = summarise(values)
-            row.append(
-                {
-                    "mean": summary.mean,
-                    "median": summary.median,
-                    "min": summary.minimum,
-                    "max": summary.maximum,
-                    "std": summary.std,
-                }[statistic]
-            )
-        table.add_row(*row)
-    return table
 
 
 def safety_outcomes(
@@ -360,9 +300,8 @@ class StreamingMetric:
             return float("nan")
         if self.sketch.exact:
             # The retained sample is the full sample in arrival order —
-            # route through the same numpy summary the materialised path
-            # uses so the two tables are byte-identical, subnormals and
-            # all.
+            # route through the numpy summary so the table is byte-identical
+            # to summarising the materialised sample, subnormals and all.
             summary = summarise(self.sketch.values())
             return {
                 "mean": summary.mean,
@@ -456,7 +395,7 @@ class StreamingAggregator:
         statistic: str = "mean",
         notes: Optional[str] = None,
     ) -> Table:
-        """Same shape (and, while exact, same bytes) as :func:`campaign_table`."""
+        """One row per group, one ``<statistic>_<metric>`` column per metric."""
         if statistic not in STATISTICS:
             raise CampaignError(f"unknown statistic {statistic!r}")
         columns = (list(self.group_by) + ["runs"]
@@ -480,12 +419,15 @@ def streaming_campaign_table(
     notes: Optional[str] = None,
     sketch_capacity: int = 4096,
 ) -> Table:
-    """:func:`campaign_table` semantics over a record *stream*.
+    """Summary table over a record *stream*: one row per group (first-seen
+    order), one column per metric statistic.
 
     Never materialises ``records`` — pass ``store.iter_records()`` and a
     100k-run store is reported in bounded memory.  While every group is
     below ``sketch_capacity`` observations the output is bit-identical to
-    the materialised table.
+    summarising each group's full sample.  ``None`` metric values are
+    skipped, booleans count as 0/1, and a group with no values reports
+    NaN.
     """
     if statistic not in STATISTICS:
         raise CampaignError(f"unknown statistic {statistic!r}")

@@ -20,7 +20,8 @@ Commands
 ``report DIR``
     Aggregate a stored campaign into a summary table via streaming
     (record-at-a-time) aggregation — a 100k-run store is never loaded
-    into memory.
+    into memory.  ``run`` prints its summary through the same code, so
+    the two tables are byte-identical.
 ``topology SPEC.json``
     Expand a declarative hospital :class:`~repro.topology.spec.TopologySpec`
     into its deterministic manifest (canonical JSON): which patients occupy
@@ -40,11 +41,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from pathlib import Path
 
-from repro.campaign.aggregate import campaign_table, streaming_campaign_table
+from repro.campaign.aggregate import streaming_campaign_table
 from repro.campaign.engine import run_campaign
 from repro.campaign.registry import CampaignError, get_scenario, list_scenarios
 from repro.campaign.resilience import ResilienceConfig, RetryPolicy
@@ -91,15 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           "contiguous blocks; strided balances systematic "
                           "cost gradients)")
     run.add_argument("--workers", type=int, default=1,
-                     help="worker processes (1 = deterministic serial reference)")
+                     help="worker processes (1 = deterministic serial "
+                          "reference; more run on a watchdog-supervised pool)")
     run.add_argument("--out", default=None,
                      help="campaign directory for streamed results and resume")
     run.add_argument("--resume", action="store_true",
                      help="skip runs already completed in --out")
-    run.add_argument("--chunksize", type=int, default=None,
-                     help="runs handed to a worker per dispatch (default: 1 "
-                          "with --out so checkpointing stays per-run, else "
-                          "auto: max(1, runs // (workers * 4)))")
     run.add_argument("--flush-every", type=int, default=1,
                      help="flush+fsync results.jsonl every N records "
                           "(default 1 = per-record durability; larger values "
@@ -113,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "metrics snapshot (NDJSON) to PATH")
     run.add_argument("--isolate-failures", action="store_true",
                      help="quarantine failing runs to errors.jsonl instead of "
-                          "aborting the campaign (resume re-dispatches them)")
+                          "aborting the campaign on the first failure "
+                          "(resume re-dispatches them)")
     run.add_argument("--retries", type=int, default=3, metavar="N",
                      help="with --isolate-failures: total attempts per run for "
                           "transient failures (default 3; 1 disables retry)")
@@ -189,6 +188,10 @@ def _csv(value: Optional[str]) -> Optional[List[str]]:
     return fields or None
 
 
+#: How many leading records infer the default table metrics.
+_PEEK = 64
+
+
 def _default_metrics(records: Sequence[Dict[str, Any]], limit: int = 6) -> List[str]:
     """Numeric fields of the scenario's declared result schema (or any found)."""
     if not records:
@@ -212,25 +215,30 @@ def _default_metrics(records: Sequence[Dict[str, Any]], limit: int = 6) -> List[
     return metrics[:limit]
 
 
-def _emit_rendered(log: StructLogger, table) -> None:
+def _emit_table(log: StructLogger, records: Iterable[Dict[str, Any]],
+                peek: Sequence[Dict[str, Any]], spec: Optional[CampaignSpec],
+                group_by: Optional[str], metrics: Optional[str],
+                statistic: str = "mean") -> None:
+    """The campaign summary table, as both ``run`` and ``report`` print it.
+
+    ``group_by`` / ``metrics`` are the raw comma-separated flags; they
+    default to the spec's swept axes and to the numeric result fields of
+    ``peek`` (the first :data:`_PEEK` records).  ``records`` is streamed.
+    """
+    group_by_fields = _csv(group_by) or (spec.sweep_axes() if spec else [])
+    metric_fields = _csv(metrics) or _default_metrics(peek)
+    if not metric_fields:
+        log.info("no records", event="table")
+        return
+    title = f"campaign {spec.name!r} summary" if spec else "campaign summary"
+    table = streaming_campaign_table(
+        records, group_by=group_by_fields or ["scenario"],
+        metrics=metric_fields, statistic=statistic, title=title)
     if log.json_mode:
         log.info(event="table", title=table.title, columns=list(table.columns),
                  rows=[list(row) for row in table.rows])
     else:
         log.info(table.render())
-
-
-def _emit_table(log: StructLogger, records, group_by, metrics,
-                statistic="mean", title="campaign summary"):
-    if not records:
-        log.info("no records", event="table")
-        return
-    if not group_by:
-        group_by = ["scenario"]
-    table = campaign_table(
-        records, group_by=group_by, metrics=metrics, statistic=statistic, title=title
-    )
-    _emit_rendered(log, table)
 
 
 def _cmd_list(log: StructLogger) -> int:
@@ -292,7 +300,6 @@ def _cmd_run(args: argparse.Namespace, log: StructLogger) -> int:
         directory=args.out,
         resume=args.resume,
         progress=progress,
-        chunksize=args.chunksize,
         flush_every=args.flush_every,
         metrics_out=args.metrics_out,
         resilience=resilience,
@@ -322,11 +329,8 @@ def _cmd_run(args: argparse.Namespace, log: StructLogger) -> int:
         log.info(f"metrics snapshot -> {report.metrics_path}",
                  event="metrics-written", path=str(report.metrics_path))
 
-    group_by = _csv(args.group_by) or spec.sweep_axes()
-    metrics = _csv(args.metrics) or _default_metrics(report.records)
-    if metrics:
-        _emit_table(log, report.records, group_by, metrics,
-                    title=f"campaign {spec.name!r} summary")
+    _emit_table(log, report.records, report.records[:_PEEK], spec,
+                args.group_by, args.metrics)
     return 0
 
 
@@ -400,25 +404,15 @@ def _cmd_report(args: argparse.Namespace, log: StructLogger) -> int:
     store = ResultStore(args.directory)
     # A bounded peek infers default metrics; aggregation itself re-streams
     # the file record-at-a-time, so the store is never materialised.
-    peek = store.head_records(64)
+    peek = store.head_records(_PEEK)
     if not peek:
         log.error(f"no results in {args.directory}",
                   event="report-empty", directory=args.directory)
         return 1
     manifest = store.load_manifest()
     spec = CampaignSpec.from_dict(manifest["spec"]) if manifest else None
-    group_by = _csv(args.group_by) or (spec.sweep_axes() if spec else [])
-    if not group_by:
-        group_by = ["scenario"]
-    metrics = _csv(args.metrics) or _default_metrics(peek)
-    title = f"campaign {spec.name!r} report" if spec else "campaign report"
-    if not metrics:
-        log.info("no records", event="table")
-        return 0
-    table = streaming_campaign_table(
-        store.iter_records(), group_by=group_by, metrics=metrics,
-        statistic=args.statistic, title=title)
-    _emit_rendered(log, table)
+    _emit_table(log, store.iter_records(), peek, spec, args.group_by,
+                args.metrics, args.statistic)
     return 0
 
 

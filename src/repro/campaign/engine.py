@@ -2,19 +2,24 @@
 
 The engine expands a :class:`~repro.campaign.spec.CampaignSpec` into run
 manifests and executes them either serially (the deterministic reference
-path) or on a ``multiprocessing`` pool.  Because every run is seeded from
-its stable run id (not from execution order), the two paths produce
-identical records; after :meth:`ResultStore.finalize` the on-disk results
-are byte-identical as well.
+path) or, with ``workers > 1``, on a ``multiprocessing`` pool driven by the
+:class:`~repro.campaign.resilience.ResilientDispatcher` watchdog.  Because
+every run is seeded from its stable run id (not from execution order), the
+two paths produce identical records; after :meth:`ResultStore.finalize` the
+on-disk results are byte-identical as well.
+
+Every run, on either path, goes through
+:func:`~repro.campaign.resilience.execute_with_capture`, so a failure
+always becomes the same structured error record.  With a
+:class:`ResilienceConfig` that record is quarantined to ``errors.jsonl``;
+without one the campaign is fail-fast: one attempt per run, and the first
+error record raises :class:`CampaignError`.
 
 Workers receive the full payload list **once**, through the pool
 initializer, and are handed bare list indices per run — so per-run IPC is a
-single integer each way plus the result record, and nothing unpicklable
-crosses the process boundary.  ``imap_unordered`` chunking is auto-sized to
-``max(1, runs // (workers * 4))`` for in-memory campaigns; with a result
-store it defaults to 1 so checkpointing keeps per-run granularity (results
-only reach the store when their whole chunk completes).  Either way an
-explicit ``chunksize`` wins.
+single integer each way plus the outcome, and nothing unpicklable crosses
+the process boundary.  Each outcome reaches the store as soon as its run
+finishes, so checkpointing keeps per-run granularity.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.campaign import resilience as _resilience
 from repro.campaign.registry import CampaignError, get_scenario
@@ -47,6 +52,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.spans import tracer as obs_tracer
 
 ProgressCallback = Callable[[int, int, Dict[str, Any]], None]
+
+#: What ``resilience=None`` means: one attempt per run, no quarantine (the
+#: engine raises on the first error record).
+FAIL_FAST = ResilienceConfig(retry=RetryPolicy(max_attempts=1))
 
 
 def _run_scenario(scenario, manifest: RunManifest) -> Dict[str, Any]:
@@ -121,47 +130,39 @@ def execute_manifest(manifest: RunManifest) -> Dict[str, Any]:
     return record
 
 
-#: Per-process payload table, populated once by the pool initializer.
+#: Per-process worker state, installed once by :func:`_pool_initializer`.
 _WORKER_PAYLOADS: List[Tuple[int, str, str, Dict[str, Any], int]] = []
-
 
 #: Where this worker process writes its cumulative metrics shard (or None).
 _WORKER_SHARD_DIR: Optional[str] = None
 
-#: Retry policy for resilient workers (None = legacy fail-fast workers).
-_WORKER_RETRY_POLICY: Optional[RetryPolicy] = None
-
-#: Heartbeat writer for resilient workers (None = no watchdog).
-_WORKER_HEARTBEAT: Optional[Heartbeat] = None
+_WORKER_RETRY_POLICY: RetryPolicy
+_WORKER_HEARTBEAT: Heartbeat
 
 
 def _pool_initializer(
     payloads: List[Tuple[int, str, str, Dict[str, Any], int]],
-    obs_on: bool = False,
-    shard_dir: Optional[str] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    heartbeat_dir: Optional[str] = None,
+    obs_on: bool,
+    shard_dir: Optional[str],
+    retry_policy: RetryPolicy,
+    heartbeat_dir: str,
 ) -> None:
     """Install the campaign's payload table in a fresh worker process.
 
     ``obs_on`` carries the parent's observability switch across the process
     boundary explicitly (a programmatic ``enable()`` in the parent is not
     visible to spawn-started workers); ``shard_dir`` is where this worker
-    drops its cumulative metrics shard after each run.  ``retry_policy`` /
-    ``heartbeat_dir`` are only set for resilient campaigns; the pool
-    respawning a killed worker re-runs this initializer, so replacements
-    come up with the same configuration.
+    drops its cumulative metrics shard after each run.  The pool respawning
+    a killed worker re-runs this initializer, so replacements come up with
+    the same retry policy and heartbeat directory.
     """
     global _WORKER_PAYLOADS, _WORKER_SHARD_DIR
     global _WORKER_RETRY_POLICY, _WORKER_HEARTBEAT
     _WORKER_PAYLOADS = payloads
     _WORKER_SHARD_DIR = shard_dir
     _WORKER_RETRY_POLICY = retry_policy
-    _WORKER_HEARTBEAT = (
-        Heartbeat(heartbeat_dir) if heartbeat_dir is not None else None
-    )
-    if retry_policy is not None:
-        _resilience._mark_worker()
+    _WORKER_HEARTBEAT = Heartbeat(heartbeat_dir)
+    _resilience._mark_worker()
     if obs_on:
         obs_metrics.enable()
 
@@ -180,17 +181,6 @@ def _write_worker_shard() -> None:
     )
 
 
-def _worker(index: int) -> Dict[str, Any]:
-    """Pool entry point: look the payload up by index and execute it."""
-    run_index, run_id, scenario, params, seed = _WORKER_PAYLOADS[index]
-    record = execute_manifest(
-        RunManifest(run_index=run_index, run_id=run_id, scenario=scenario,
-                    params=params, seed=seed)
-    )
-    _write_worker_shard()
-    return record
-
-
 def _note_retry() -> None:
     """Count one in-worker retry in this process's metrics registry."""
     instruments = obs_metrics.campaign_instruments()
@@ -198,30 +188,23 @@ def _note_retry() -> None:
         instruments.runs_retried.value += 1
 
 
-def _resilient_worker(index: int) -> Outcome:
-    """Pool entry point for resilient campaigns: never raises for run failures.
+def _pool_task(index: int) -> Outcome:
+    """Pool entry point: never raises for run failures.
 
-    Writes a heartbeat file while the run executes (the parent watchdog
-    reads it to enforce timeouts and detect worker death) and returns an
+    Writes a heartbeat file while the run executes and marks it done just
+    before returning (the parent watchdog reads it to enforce timeouts,
+    detect worker death and wait for results on their way), and returns an
     :data:`Outcome` tuple instead of propagating exceptions, so one bad run
     cannot poison the pool.
     """
     run_index, run_id, scenario, params, seed = _WORKER_PAYLOADS[index]
     manifest = RunManifest(run_index=run_index, run_id=run_id,
                            scenario=scenario, params=params, seed=seed)
-    heartbeat = _WORKER_HEARTBEAT
-    if heartbeat is not None:
-        heartbeat.start(index)
-    try:
-        outcome = execute_with_capture(
-            manifest,
-            _WORKER_RETRY_POLICY or RetryPolicy(),
-            on_retry=_note_retry,
-        )
-    finally:
-        if heartbeat is not None:
-            heartbeat.finish(index)
+    _WORKER_HEARTBEAT.start(index)
+    outcome = execute_with_capture(manifest, _WORKER_RETRY_POLICY,
+                                   on_retry=_note_retry)
     _write_worker_shard()
+    _WORKER_HEARTBEAT.finish(index)
     return outcome
 
 
@@ -229,13 +212,15 @@ def _resilient_worker(index: int) -> Outcome:
 class CampaignReport:
     """What a finished (or resumed-to-completion) campaign hands back.
 
-    With resilience enabled, the failure-path counters separate the runs
-    that finished cleanly (``ok``), finished after in-worker retries
-    (``retried``, a subset of ``ok``), were quarantined to ``errors.jsonl``
-    (``quarantined``, of which ``timed_out`` exceeded their wall-clock
-    budget), and how many worker processes were killed or lost along the
-    way (``worker_restarts``).  Without resilience every executed run is
-    ``ok`` (a failure would have raised instead).
+    The counters separate the runs that finished cleanly (``ok``),
+    finished after in-worker retries (``retried``, a subset of ``ok``),
+    were quarantined to ``errors.jsonl`` (``quarantined``, of which
+    ``timed_out`` exceeded their wall-clock budget), and how many worker
+    processes were killed or lost along the way (``worker_restarts``; a
+    lost worker's run is re-dispatched, so a fail-fast campaign can count
+    restarts too).  Quarantine needs a :class:`ResilienceConfig`: a
+    fail-fast campaign raises on its first failed run, so every run it
+    reports is ``ok``.
     """
 
     spec: CampaignSpec
@@ -271,8 +256,6 @@ class CampaignEngine:
         *,
         workers: int = 1,
         directory: Optional[Union[str, Path]] = None,
-        mp_context: Optional[str] = None,
-        chunksize: Optional[int] = None,
         flush_every: int = 1,
         metrics_out: Optional[Union[str, Path]] = None,
         resilience: Optional[ResilienceConfig] = None,
@@ -280,19 +263,20 @@ class CampaignEngine:
     ) -> None:
         if workers < 1:
             raise CampaignError("workers must be >= 1")
-        if chunksize is not None and chunksize < 1:
-            raise CampaignError("chunksize must be >= 1")
+        if workers == 1 and resilience is not None \
+                and resilience.run_timeout_s is not None:
+            raise CampaignError(
+                "a per-run timeout needs workers >= 2: a serial campaign cannot "
+                "preempt its own run")
         if shard is not None:
             shard.validate()
         self.spec = spec
         self.shard = shard
         self.workers = workers
-        self.chunksize = chunksize
         self.store = (
             ResultStore(directory, flush_every=flush_every)
             if directory is not None else None
         )
-        self._mp_context = mp_context
         self.resilience = resilience
         self._dispatch_stats: Dict[str, int] = {}
         self.metrics_out = Path(metrics_out) if metrics_out is not None else None
@@ -354,8 +338,9 @@ class CampaignEngine:
         errors: List[Dict[str, Any]] = []
         self._dispatch_stats = {}
         wall_before = perf_counter() if self.metrics_out is not None else 0.0
+        outcomes = self._execute(pending)
         try:
-            for kind, record, attempts in self._execute(pending):
+            for kind, record, attempts in outcomes:
                 if kind == OK:
                     completed[record["run_index"]] = record
                     if self.store is not None:
@@ -363,6 +348,8 @@ class CampaignEngine:
                     ok += 1
                     if attempts > 1:
                         retried += 1
+                elif self.resilience is None:
+                    raise CampaignError(record["error"]["message"])
                 else:
                     quarantined += 1
                     if record["error"]["classification"] == TIMEOUT:
@@ -380,8 +367,10 @@ class CampaignEngine:
             else:
                 records = [completed[index] for index in sorted(completed)]
         finally:
-            # Deterministic shutdown: buffered appends reach disk even when a
-            # run raises mid-campaign (resume then sees every finished run).
+            # Deterministic shutdown: the pool is torn down and buffered
+            # appends reach disk even when a run fails a fail-fast campaign
+            # (resume then sees every finished run).
+            outcomes.close()
             if self.store is not None:
                 self.store.close()
         worker_restarts = self._dispatch_stats.get("worker_restarts", 0)
@@ -411,91 +400,54 @@ class CampaignEngine:
         )
 
     # --------------------------------------------------------------- workers
-    def _execute(self, pending: List[RunManifest]) -> Iterable[Outcome]:
+    def _execute(self, pending: List[RunManifest]) -> Generator[Outcome, None, None]:
         """Yield one :data:`Outcome` tuple per pending run.
 
-        Without resilience, runs execute exactly as before (failures raise)
-        and successful records are wrapped as ``("ok", record, 1)``.
+        With ``workers > 1`` the runs go to the pool first; whatever it
+        leaves unfinished (it was abandoned after too many lost workers)
+        runs here, in the one serial loop.
         """
-        if self.workers == 1 or len(pending) <= 1:
-            yield from self._execute_serial(pending)
-        else:
-            yield from self._execute_parallel(pending)
-
-    def _execute_serial(self, pending: List[RunManifest]) -> Iterable[Outcome]:
-        if self.resilience is None:
-            for manifest in pending:
-                yield (OK, execute_manifest(manifest), 1)
-            return
-        policy = self.resilience.retry
+        config = self.resilience or FAIL_FAST
+        if self.workers > 1 and pending:
+            pending = yield from self._execute_pool(pending, config)
         for manifest in pending:
-            yield execute_with_capture(manifest, policy, on_retry=_note_retry)
+            yield execute_with_capture(manifest, config.retry,
+                                       on_retry=_note_retry)
 
-    def _execute_parallel(self, pending: List[RunManifest]) -> Iterable[Outcome]:
+    def _execute_pool(
+        self, pending: List[RunManifest], config: ResilienceConfig,
+    ) -> Generator[Outcome, None, List[RunManifest]]:
         payloads = [
             (m.run_index, m.run_id, m.scenario, m.params, m.seed) for m in pending
         ]
-        context = (
-            multiprocessing.get_context(self._mp_context)
-            if self._mp_context is not None
-            else multiprocessing.get_context()
-        )
         processes = min(self.workers, len(payloads))
-        chunksize = self.chunksize
-        if chunksize is None:
-            if self.store is not None:
-                # Checkpointing: results only reach the store when their
-                # chunk completes, so a large chunk would turn a crash into
-                # chunksize*workers re-executed runs.  Keep per-run
-                # granularity unless the caller explicitly trades it away.
-                chunksize = 1
-            else:
-                # ~4 chunks per worker: large enough to amortise IPC, small
-                # enough that a slow chunk cannot straggle the campaign.
-                chunksize = max(1, len(payloads) // (processes * 4))
         shard_dir = self._shard_directory()
         if shard_dir is not None:
             shard_dir.mkdir(parents=True, exist_ok=True)
             for stale in shard_dir.glob("shard-*.ndjson"):
                 stale.unlink()
-        if self.resilience is not None:
-            heartbeat = Heartbeat()
-            with context.Pool(
+        heartbeat = Heartbeat()
+        try:
+            with multiprocessing.Pool(
                 processes=processes,
                 initializer=_pool_initializer,
                 initargs=(
                     payloads,
                     obs_metrics.enabled(),
                     str(shard_dir) if shard_dir is not None else None,
-                    self.resilience.retry,
+                    config.retry,
                     str(heartbeat.directory),
                 ),
             ) as pool:
                 dispatcher = ResilientDispatcher(
-                    pool, pending, self.resilience, heartbeat,
-                    _resilient_worker, processes, on_retry=_note_retry,
-                )
+                    pool, pending, config, heartbeat, _pool_task, processes)
                 try:
-                    yield from dispatcher.outcomes()
+                    return (yield from dispatcher.outcomes())
                 finally:
                     self._dispatch_stats = dict(dispatcher.stats)
-            return
-        with context.Pool(
-            processes=processes,
-            initializer=_pool_initializer,
-            initargs=(
-                payloads,
-                obs_metrics.enabled(),
-                str(shard_dir) if shard_dir is not None else None,
-            ),
-        ) as pool:
-            # Payloads ship once via the initializer; the queue carries bare
-            # indices.  imap_unordered: records checkpoint as soon as any
-            # worker finishes; ordering is restored by ResultStore.finalize /
-            # the report sort.
-            for record in pool.imap_unordered(_worker, range(len(payloads)),
-                                              chunksize=chunksize):
-                yield (OK, record, 1)
+        finally:
+            # After the pool has joined its workers: none can still write.
+            heartbeat.cleanup()
 
     # ----------------------------------------------------------- observability
     def _shard_directory(self) -> Optional[Path]:
@@ -555,8 +507,6 @@ def run_campaign(
     directory: Optional[Union[str, Path]] = None,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
-    mp_context: Optional[str] = None,
-    chunksize: Optional[int] = None,
     flush_every: int = 1,
     metrics_out: Optional[Union[str, Path]] = None,
     resilience: Optional[ResilienceConfig] = None,
@@ -564,8 +514,7 @@ def run_campaign(
 ) -> CampaignReport:
     """One-call convenience wrapper around :class:`CampaignEngine`."""
     engine = CampaignEngine(
-        spec, workers=workers, directory=directory, mp_context=mp_context,
-        chunksize=chunksize, flush_every=flush_every, metrics_out=metrics_out,
-        resilience=resilience, shard=shard,
+        spec, workers=workers, directory=directory, flush_every=flush_every,
+        metrics_out=metrics_out, resilience=resilience, shard=shard,
     )
     return engine.run(resume=resume, progress=progress)

@@ -3,8 +3,8 @@
 The paper's core requirement (Section II(c)) is a supervisor "tolerant to
 faults that interfere with the control loop"; at population scale the same
 discipline must apply to the campaign engine itself — one bad run out of a
-million must not kill the job.  This module provides the three layers the
-engine composes when resilience is enabled:
+million must not kill the job.  This module provides the three layers
+every campaign run goes through:
 
 * **Structured error capture** (:func:`execute_with_capture`): a failing
   run yields an *error record* — exception class, message, traceback
@@ -17,28 +17,31 @@ engine composes when resilience is enabled:
   ``derive_seed(manifest.seed, attempt)``, so reruns of a flaky run are
   reproducible; deterministic failures quarantine immediately.
 * **Worker-death and timeout tolerance** (:class:`ResilientDispatcher`):
-  a parent-side watchdog dispatches runs with ``apply_async``, reads
+  a parent-side loop dispatches runs with ``apply_async`` and wakes as soon
+  as one completes.  Once per :data:`WATCHDOG_PERIOD_S` it reads the
   per-run heartbeat files written by the workers, SIGKILLs wedged workers
   whose run exceeds its wall-clock budget (``multiprocessing.Pool``
-  respawns the process), re-dispatches runs whose worker died under them,
-  and degrades gracefully to in-parent serial execution when the pool
-  cannot be kept alive.
+  respawns the process), and re-dispatches runs whose worker died under
+  them.  When the pool cannot be kept alive it hands the unfinished runs
+  back to the engine, which executes them serially in the parent.
 
-Everything here is off the happy path: a campaign run with no
-:class:`ResilienceConfig` executes exactly the same code as before.
+Without a :class:`ResilienceConfig` the engine uses a single attempt per
+run and raises :class:`~repro.campaign.registry.CampaignError` on the first error
+record instead of quarantining it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import queue
 import signal
 import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.campaign.registry import CampaignError
 from repro.campaign.spec import RunManifest
@@ -165,9 +168,9 @@ class ResilienceConfig:
         In-worker retry policy for transient errors.
     run_timeout_s:
         Per-run wall-clock budget.  Only enforceable with ``workers > 1``
-        (the parent cannot preempt its own thread); a run that exceeds it
-        is quarantined as ``timeout`` and its worker is killed and
-        respawned.
+        (the parent cannot preempt its own thread), so the engine rejects
+        it for serial campaigns; a run that exceeds it is quarantined as
+        ``timeout`` and its worker is killed and respawned.
     max_dispatch_attempts:
         How many times a run is re-dispatched after its *worker* died under
         it (distinct from in-worker retries: the run itself never raised).
@@ -186,7 +189,6 @@ class ResilienceConfig:
     max_dispatch_attempts: int = 2
     max_worker_restarts: int = 3
     heartbeat_grace_s: float = 5.0
-    poll_interval_s: float = 0.02
 
     def __post_init__(self) -> None:
         if self.run_timeout_s is not None and self.run_timeout_s <= 0:
@@ -300,11 +302,14 @@ def execute_with_capture(
 class Heartbeat:
     """Per-run heartbeat files linking a dispatched run to its worker pid.
 
-    A worker touches ``run-<index>.hb`` (containing ``pid started_at``)
-    when it picks the run up and removes it on completion; the parent
-    watchdog reads it to (a) start the run's wall-clock budget at actual
-    pickup rather than dispatch, (b) tell a *dead* worker (re-dispatch the
-    run) from a *wedged* one (kill it and quarantine the run).
+    A worker writes ``run-<index>.hb`` (containing ``pid started_at``) when
+    it picks the run up and renames it to ``run-<index>.done`` when the run
+    has finished; the parent removes the marker once it has consumed the
+    run's completion.  The parent watchdog reads them to (a) start the
+    run's wall-clock budget at actual pickup rather than dispatch, (b) tell
+    a *dead* worker (re-dispatch the run) from a *wedged* one (kill it and
+    quarantine the run), and (c) tell a finished run whose result is still
+    on its way from one that was never picked up.
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
@@ -316,6 +321,9 @@ class Heartbeat:
     def path(self, run_index: int) -> Path:
         return self.directory / f"run-{run_index:08d}.hb"
 
+    def done_path(self, run_index: int) -> Path:
+        return self.directory / f"run-{run_index:08d}.done"
+
     # Worker side -------------------------------------------------------
     def start(self, run_index: int) -> None:
         try:
@@ -326,22 +334,38 @@ class Heartbeat:
 
     def finish(self, run_index: int) -> None:
         try:
-            self.path(run_index).unlink()
+            os.replace(self.path(run_index), self.done_path(run_index))
         except OSError:
             pass
 
     # Parent side -------------------------------------------------------
-    def read(self, run_index: int) -> Optional[Tuple[int, float]]:
-        """(pid, started_at) if the worker has picked the run up."""
+    @staticmethod
+    def _parse(path: Path) -> Optional[Tuple[int, float]]:
         try:
-            parts = self.path(run_index).read_text(encoding="utf-8").split()
+            parts = path.read_text(encoding="utf-8").split()
             return int(parts[0]), float(parts[1])
         except (OSError, ValueError, IndexError):
             return None
 
+    def read(self, run_index: int) -> Optional[Tuple[int, float]]:
+        """(pid, started_at) while a worker is executing the run."""
+        return self._parse(self.path(run_index))
+
+    def read_done(self, run_index: int) -> Optional[Tuple[int, float]]:
+        """(pid, started_at) once the run has finished in that worker."""
+        return self._parse(self.done_path(run_index))
+
+    def clear(self, run_index: int) -> None:
+        """Forget the run: its completion was consumed or it was expired."""
+        for path in (self.path(run_index), self.done_path(run_index)):
+            try:
+                path.unlink()
+            except OSError:
+                pass
+
     def cleanup(self) -> None:
         try:
-            for stale in self.directory.glob("run-*.hb"):
+            for stale in self.directory.glob("run-*"):
                 stale.unlink()
             self.directory.rmdir()
         except OSError:  # pragma: no cover - foreign files left behind
@@ -368,11 +392,15 @@ def kill_worker(pid: int) -> bool:
     return True
 
 
+#: How often the dispatcher reads heartbeats to enforce deadlines and spot
+#: dead workers.  Completions never wait for it: they wake the dispatcher.
+WATCHDOG_PERIOD_S = 0.1
+
+
 @dataclass
 class _InFlight:
     manifest: RunManifest
     payload_index: int
-    result: Any  # multiprocessing AsyncResult
     dispatched_at: float
     dispatch_attempts: int
 
@@ -382,11 +410,18 @@ class ResilientDispatcher:
 
     The engine hands it a live pool plus the pending manifests; it yields
     :data:`Outcome` tuples as runs finish, survives worker death (re-
-    dispatch, bounded), enforces per-run timeouts (targeted SIGKILL of the
-    wedged worker — the pool respawns it), and falls back to in-parent
-    serial execution once ``max_worker_restarts`` is exhausted.  The
-    ``stats`` dict exposes ``worker_restarts`` / ``timed_out`` /
-    ``redispatched`` for the campaign report.
+    dispatch, bounded), and enforces per-run timeouts (targeted SIGKILL of
+    the wedged worker — the pool respawns it).  Each completion's callback
+    feeds a queue the loop blocks on, so a finished run is consumed at
+    once; up to two runs per process are in flight, so a worker never
+    idles while the parent refills the pool.  A queued run therefore waits
+    for at most one run per worker (each bounded by ``run_timeout_s``),
+    which ``heartbeat_grace_s`` absorbs before a run that never started
+    counts as lost.  Once ``max_worker_restarts``
+    is exhausted the pool is terminated and :meth:`outcomes` returns the
+    unfinished manifests for the caller to run serially.  The ``stats``
+    dict exposes ``worker_restarts`` / ``timed_out`` / ``redispatched`` for
+    the campaign report.
     """
 
     def __init__(
@@ -397,75 +432,106 @@ class ResilientDispatcher:
         heartbeat: Heartbeat,
         worker: Callable[[int], Outcome],
         processes: int,
-        on_retry: Optional[Callable[[], None]] = None,
     ) -> None:
         self.pool = pool
         self.manifests = manifests
         self.config = config
         self.heartbeat = heartbeat
         self.worker = worker
-        self.processes = processes
-        self.on_retry = on_retry
+        self.window = 2 * processes
         self.stats = {"worker_restarts": 0, "timed_out": 0, "redispatched": 0}
         self._queue: List[Tuple[int, int]] = [
             (i, 1) for i in range(len(manifests))]
         self._inflight: Dict[int, _InFlight] = {}
-        self._degraded = False
+        #: (flight, outcome or the exception the pool reported), fed by the
+        #: pool's result thread.
+        self._done: "queue.SimpleQueue[Tuple[_InFlight, Any]]" = queue.SimpleQueue()
 
     # ------------------------------------------------------------- dispatch
     def _dispatch(self, payload_index: int, attempt: int) -> None:
-        self._inflight[payload_index] = _InFlight(
+        flight = _InFlight(
             manifest=self.manifests[payload_index],
             payload_index=payload_index,
-            result=self.pool.apply_async(self.worker, (payload_index,)),
             dispatched_at=time.monotonic(),
             dispatch_attempts=attempt,
         )
+        # Registered before submission: a callback may fire at once.
+        self._inflight[payload_index] = flight
+        self.pool.apply_async(
+            self.worker, (payload_index,),
+            callback=lambda outcome: self._done.put((flight, outcome)),
+            error_callback=lambda error: self._done.put((flight, error)),
+        )
 
     def _fill_slots(self) -> None:
-        while self._queue and len(self._inflight) < self.processes:
+        while self._queue and len(self._inflight) < self.window:
             index, attempt = self._queue.pop(0)
             self._dispatch(index, attempt)
 
-    # -------------------------------------------------------------- timeout
-    def _deadline_passed(self, flight: _InFlight, now: float) -> bool:
-        timeout = self.config.run_timeout_s
-        if timeout is None:
-            return False
-        beat = self.heartbeat.read(flight.payload_index)
-        if beat is None:
-            # Not picked up yet: allow queueing grace on top of the budget.
-            return now - flight.dispatched_at > (
-                timeout + self.config.heartbeat_grace_s)
-        _pid, started_at = beat
-        return time.time() - started_at > timeout
+    def _completed(self, flight: _InFlight, outcome: Any) -> Outcome:
+        """The outcome of a finished task; a task the pool itself failed
+        (e.g. an unpicklable result) becomes an error record."""
+        if not isinstance(outcome, BaseException):
+            return outcome
+        return (ERROR,
+                error_record(flight.manifest,
+                             classification=self.config.retry.classify(outcome),
+                             attempts=flight.dispatch_attempts,
+                             wall_s=time.monotonic() - flight.dispatched_at,
+                             error=outcome),
+                flight.dispatch_attempts)
 
-    def _handle_expiry(self, flight: _InFlight) -> Optional[Outcome]:
-        """Timeout or worker death for one in-flight run.
+    # -------------------------------------------------------------- watchdog
+    def _expiry(self, flight: _InFlight, now: float) -> Optional[Tuple[str, Optional[int]]]:
+        """Why the watchdog must take this in-flight run back, or ``None``.
+
+        ``(TIMEOUT, pid)``: a live worker is past the run's budget.
+        ``(WORKER_LOST, None)``: the worker died, or the run was never
+        picked up within budget plus grace.  A finished run whose
+        completion has not arrived yet is left alone while its worker
+        lives: the worker sends the result before it takes another task.
+        """
+        timeout = self.config.run_timeout_s
+        beat = self.heartbeat.read(flight.payload_index)
+        if beat is not None:
+            pid, started_at = beat
+            if not pid_alive(pid):
+                return WORKER_LOST, None
+            if timeout is not None and time.time() - started_at > timeout:
+                return TIMEOUT, pid
+            return None
+        done = self.heartbeat.read_done(flight.payload_index)
+        if done is not None:
+            return None if pid_alive(done[0]) else (WORKER_LOST, None)
+        if timeout is not None and now - flight.dispatched_at > (
+                timeout + self.config.heartbeat_grace_s):
+            return WORKER_LOST, None
+        return None
+
+    def _handle_expiry(self, flight: _InFlight, reason: str,
+                       pid: Optional[int]) -> Optional[Outcome]:
+        """Timeout or worker loss for one in-flight run.
 
         Returns an error outcome to emit, or ``None`` if the run was
-        re-queued (dead worker, budget left).
+        re-queued (lost worker, budget left).
         """
-        beat = self.heartbeat.read(flight.payload_index)
-        pid = beat[0] if beat is not None else None
-        if pid is not None and pid_alive(pid):
+        self.stats["worker_restarts"] += 1
+        self.heartbeat.clear(flight.payload_index)
+        run_id = flight.manifest.run_id
+        if reason == TIMEOUT:
             # Wedged or genuinely too slow: reclaim the slot.
             kill_worker(pid)
-            self.stats["worker_restarts"] += 1
             self.stats["timed_out"] += 1
-            self.heartbeat.finish(flight.payload_index)
             return (ERROR,
                     error_record(flight.manifest, classification=TIMEOUT,
                                  attempts=flight.dispatch_attempts,
                                  wall_s=self.config.run_timeout_s or 0.0,
                                  message=(
-                                     f"run exceeded its wall-clock budget of "
-                                     f"{self.config.run_timeout_s}s")),
+                                     f"run {run_id!r} exceeded its wall-clock "
+                                     f"budget of {self.config.run_timeout_s}s")),
                     flight.dispatch_attempts)
         # Worker died under the run (or never picked it up): the run itself
         # is innocent — re-dispatch unless its budget is spent.
-        self.stats["worker_restarts"] += 1
-        self.heartbeat.finish(flight.payload_index)
         if flight.dispatch_attempts < self.config.max_dispatch_attempts:
             self.stats["redispatched"] += 1
             self._queue.append(
@@ -478,61 +544,70 @@ class ResilientDispatcher:
                              message=(
                                  "worker process died "
                                  f"{flight.dispatch_attempts} time(s) while "
-                                 "executing this run")),
+                                 f"executing run {run_id!r}")),
                 flight.dispatch_attempts)
 
-    def _check_worker_death(self, flight: _InFlight) -> bool:
-        """True when the worker that picked this run up is gone."""
-        beat = self.heartbeat.read(flight.payload_index)
-        if beat is None:
-            return False
-        pid, _started = beat
-        return not pid_alive(pid)
-
-    # ------------------------------------------------------------------ run
-    def outcomes(self):
-        """Yield one outcome per pending run, in completion order."""
-        try:
-            while self._queue or self._inflight:
-                if self._degraded:
-                    yield from self._drain_serial()
-                    return
-                self._fill_slots()
-                yield from self._poll_once()
-                if (self.stats["worker_restarts"]
-                        > self.config.max_worker_restarts):
-                    self._degrade()
-        finally:
-            self.heartbeat.cleanup()
-
-    def _poll_once(self):
-        time.sleep(self.config.poll_interval_s)
-        now = time.monotonic()
+    def _watch(self, now: float) -> Generator[Outcome, None, None]:
+        """One watchdog pass: expire timed-out runs and runs of dead workers."""
         for index in list(self._inflight):
             flight = self._inflight[index]
-            if flight.result.ready():
+            expiry = self._expiry(flight, now)
+            if expiry is not None:
                 del self._inflight[index]
-                yield flight.result.get()
-                continue
-            if self._deadline_passed(flight, now) \
-                    or self._check_worker_death(flight):
-                del self._inflight[index]
-                outcome = self._handle_expiry(flight)
+                outcome = self._handle_expiry(flight, *expiry)
                 if outcome is not None:
                     yield outcome
 
-    def _degrade(self) -> None:
-        """Give up on the pool; survivors run serially in the parent."""
-        self._degraded = True
-        for flight in self._inflight.values():
-            self._queue.append(
-                (flight.payload_index, flight.dispatch_attempts))
-        self._inflight.clear()
-        self.pool.terminate()
+    def _consume(self, flight: _InFlight, outcome: Any) -> Optional[Outcome]:
+        """The outcome of a completion, or ``None`` for a stale one (the
+        watchdog already expired that dispatch)."""
+        if self._inflight.get(flight.payload_index) is not flight:
+            return None
+        del self._inflight[flight.payload_index]
+        self.heartbeat.clear(flight.payload_index)
+        return self._completed(flight, outcome)
 
-    def _drain_serial(self):
-        for index, _attempt in self._queue:
-            yield execute_with_capture(self.manifests[index],
-                                       self.config.retry,
-                                       on_retry=self.on_retry)
+    # ------------------------------------------------------------------ run
+    def outcomes(self) -> Generator[Outcome, None, List[RunManifest]]:
+        """Yield one outcome per run, in completion order.
+
+        Returns the manifests left unfinished when the pool had to be
+        abandoned (empty otherwise); the caller executes them serially.
+        """
+        next_watch = time.monotonic() + WATCHDOG_PERIOD_S
+        while self._queue or self._inflight:
+            if self.stats["worker_restarts"] > self.config.max_worker_restarts:
+                return self._abandon_pool()
+            self._fill_slots()
+            now = time.monotonic()
+            if now >= next_watch:
+                # Completions that are already here go first: the pass
+                # must not mistake them for lost runs.
+                while True:
+                    try:
+                        completion = self._done.get_nowait()
+                    except queue.Empty:
+                        break
+                    outcome = self._consume(*completion)
+                    if outcome is not None:
+                        yield outcome
+                next_watch = time.monotonic() + WATCHDOG_PERIOD_S
+                yield from self._watch(time.monotonic())
+                continue
+            try:
+                completion = self._done.get(timeout=next_watch - now)
+            except queue.Empty:
+                continue
+            outcome = self._consume(*completion)
+            if outcome is not None:
+                yield outcome
+        return []
+
+    def _abandon_pool(self) -> List[RunManifest]:
+        """Give up on the pool; the unfinished runs go back to the caller."""
+        self.pool.terminate()
+        indices = [index for index, _attempt in self._queue]
+        indices.extend(self._inflight)
         self._queue.clear()
+        self._inflight.clear()
+        return [self.manifests[index] for index in indices]

@@ -11,6 +11,7 @@ from repro.campaign import (
     CampaignEngine,
     CampaignError,
     CampaignSpec,
+    ResilienceConfig,
     ResultStore,
     cohort_patient,
     get_scenario,
@@ -19,7 +20,7 @@ from repro.campaign import (
     run_campaign,
     safety_outcomes,
     safety_table,
-    campaign_table,
+    streaming_campaign_table,
 )
 from repro.campaign.cli import main as campaign_main
 from repro.sim.random import derive_seed
@@ -327,12 +328,12 @@ class TestGoldenScenarioTraces:
         digest = hashlib.sha256((tmp_path / "results.jsonl").read_bytes()).hexdigest()
         assert digest == golden[scenario_key]
 
-    def test_parallel_chunked_buffered_results_match_seed_bytes(self, golden, tmp_path):
-        # The perf knobs (pool initializer, chunksize, buffered flushes) must
-        # not leak into the results: same bytes as the seed's serial path.
+    def test_parallel_buffered_results_match_seed_bytes(self, golden, tmp_path):
+        # The perf knobs (pool initializer, watchdog dispatch, buffered
+        # flushes) must not leak into the results: same bytes as the seed's
+        # serial path.
         spec = CampaignSpec(**SCENARIO_SPECS["pca"])
-        run_campaign(spec, workers=2, directory=tmp_path,
-                     chunksize=2, flush_every=16)
+        run_campaign(spec, workers=2, directory=tmp_path, flush_every=16)
         digest = hashlib.sha256((tmp_path / "results.jsonl").read_bytes()).hexdigest()
         assert digest == golden["pca"]
 
@@ -417,14 +418,17 @@ class TestStore:
 
 
 class TestEngineKnobs:
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(CampaignError):
-            CampaignEngine(tiny_spec(), chunksize=0)
+    def test_run_timeout_needs_a_pool(self):
+        # A serial campaign cannot preempt its own run, so a timeout there
+        # would be silently ignored.
+        with pytest.raises(CampaignError, match="workers >= 2"):
+            CampaignEngine(tiny_spec(),
+                           resilience=ResilienceConfig(run_timeout_s=5.0))
 
-    def test_explicit_chunksize_and_flush_every_keep_records_identical(self, tmp_path):
+    def test_parallel_flush_every_keeps_records_identical(self, tmp_path):
         reference = run_campaign(tiny_spec())
         tuned = run_campaign(tiny_spec(), workers=2, directory=tmp_path,
-                             chunksize=3, flush_every=4)
+                             flush_every=4)
         assert tuned.records == reference.records
 
     def test_flush_every_survives_a_failing_run(self, tmp_path):
@@ -436,12 +440,12 @@ class TestEngineKnobs:
             run_campaign(spec, workers=1, directory=tmp_path, flush_every=50)
         assert len(load_results(tmp_path)) > 0
 
-    def test_cli_chunksize_and_flush_every_flags(self, tmp_path, capsys):
+    def test_cli_workers_and_flush_every_flags(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec().as_dict()))
         out_dir = tmp_path / "out"
         assert campaign_main(["run", str(spec_path), "--workers", "2",
-                              "--chunksize", "2", "--flush-every", "8",
+                              "--flush-every", "8",
                               "--out", str(out_dir), "--quiet"]) == 0
         assert len(load_results(out_dir)) == 4
 
@@ -461,7 +465,7 @@ class TestAggregation:
 
     def test_campaign_table_statistics(self):
         report = run_campaign(tiny_spec())
-        table = campaign_table(
+        table = streaming_campaign_table(
             report.records,
             group_by=("mode",),
             metrics=("min_spo2", "harmed"),
@@ -473,7 +477,8 @@ class TestAggregation:
     def test_unknown_group_field_rejected(self):
         report = run_campaign(tiny_spec())
         with pytest.raises(CampaignError):
-            campaign_table(report.records, group_by=("nope",), metrics=("harmed",))
+            streaming_campaign_table(report.records, group_by=("nope",),
+                                     metrics=("harmed",))
 
 
 class TestOtherScenarios:
@@ -526,6 +531,19 @@ class TestCLI:
         assert campaign_main(["report", str(out_dir), "--group-by", "mode"]) == 0
         out = capsys.readouterr().out
         assert "open_loop" in out and "closed_loop" in out
+
+    def test_run_and_report_print_the_same_table(self, tmp_path, capsys):
+        spec_path = self._write_spec(tmp_path)
+        out_dir = tmp_path / "out"
+        assert campaign_main(["run", str(spec_path), "--out", str(out_dir),
+                              "--json"]) == 0
+        run_lines = [line for line in capsys.readouterr().out.splitlines()
+                     if '"event": "table"' in line]
+        assert campaign_main(["report", str(out_dir), "--json"]) == 0
+        report_lines = [line for line in capsys.readouterr().out.splitlines()
+                        if '"event": "table"' in line]
+        assert len(run_lines) == 1
+        assert run_lines == report_lines
 
     def test_report_empty_directory_fails(self, tmp_path):
         assert campaign_main(["report", str(tmp_path)]) == 1

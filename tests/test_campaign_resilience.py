@@ -9,9 +9,17 @@ execution of the same spec.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.campaign import resilience
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.engine import run_campaign
 from repro.campaign.registry import CampaignError
@@ -24,6 +32,7 @@ from repro.campaign.resilience import (
     WORKER_LOST,
     Heartbeat,
     ResilienceConfig,
+    ResilientDispatcher,
     RetryPolicy,
     TransientError,
     execute_with_capture,
@@ -31,6 +40,8 @@ from repro.campaign.resilience import (
 )
 from repro.campaign.spec import CampaignSpec, RunManifest
 from repro.campaign.store import ResultStore, load_errors, load_results, scan_jsonl
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def chaos_spec(name="chaos-test", repeats=6, base_seed=7, **params):
@@ -267,6 +278,51 @@ class TestParallelResilience:
         errors = load_errors(tmp_path)
         assert errors[0]["error"]["classification"] == TIMEOUT
 
+    def test_single_pending_run_timeout_is_enforced(self, tmp_path):
+        # Regression: a lone pending run used to bypass the pool and run in
+        # the parent, where its timeout was silently not enforced.
+        config = ResilienceConfig(run_timeout_s=1.0, heartbeat_grace_s=15.0)
+        started = time.monotonic()
+        report = run_campaign(chaos_spec(hang_at="0", hang_s=8.0, repeats=1),
+                              workers=2, directory=tmp_path,
+                              resilience=config)
+        assert (report.ok, report.quarantined, report.timed_out) == (0, 1, 1)
+        assert time.monotonic() - started < 6.0
+
+    def test_fail_fast_worker_death_raises(self):
+        # A SIGKILLed worker used to hang a fail-fast parallel campaign
+        # forever, so the campaign runs in a child process with a deadline.
+        script = textwrap.dedent("""
+            import time
+            from repro.campaign import CampaignError, CampaignSpec, run_campaign
+            spec = CampaignSpec(name="kill", scenario="chaos",
+                                parameters={"kill_at": "1"}, repeats=4)
+            started = time.monotonic()
+            try:
+                run_campaign(spec, workers=2)
+            except CampaignError as error:
+                print(f"raised after {time.monotonic() - started:.1f}s: {error}")
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        child = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert "raised after" in child.stdout, child.stdout
+        assert "worker process died 2 time(s)" in child.stdout
+
+    def test_exhausted_restart_budget_finishes_serially(self, tmp_path):
+        # After the first lost worker the pool is abandoned; the unfinished
+        # runs execute in the parent, where a scripted kill is an ordinary
+        # deterministic failure.
+        report = run_campaign(chaos_spec(kill_at="1", repeats=4),
+                              workers=2, directory=tmp_path,
+                              resilience=ResilienceConfig(max_worker_restarts=0))
+        assert (report.ok, report.quarantined, report.worker_restarts) == (3, 1, 1)
+        [error] = load_errors(tmp_path)
+        assert error["run_index"] == 1
+        assert error["error"]["classification"] == DETERMINISTIC
+        assert "outside a worker process" in error["error"]["message"]
+
     def test_parallel_survivors_byte_identical_to_serial(self, tmp_path):
         spec = chaos_spec(raise_at="1", flaky_at="3", repeats=8)
         run_campaign(spec, directory=tmp_path / "serial",
@@ -276,6 +332,155 @@ class TestParallelResilience:
         serial = (tmp_path / "serial" / "results.jsonl").read_bytes()
         parallel = (tmp_path / "parallel" / "results.jsonl").read_bytes()
         assert serial == parallel
+
+
+# ------------------------------------------------------------ dispatcher wake
+class _SyncPool:
+    """A pool whose ``apply_async`` runs the task at once and fires its
+    callback before returning, so every completion is already queued when
+    the dispatcher looks for it."""
+
+    def apply_async(self, func, args, callback, error_callback):
+        try:
+            outcome = func(*args)
+        except Exception as error:  # noqa: BLE001 - what the pool reports
+            error_callback(error)
+        else:
+            callback(outcome)
+
+    def terminate(self):
+        pass
+
+
+class TestDispatcherWake:
+    def dispatch(self, tmp_path, worker, runs):
+        manifests = [RunManifest(run_index=i, run_id=f"r{i}", scenario="chaos",
+                                 params={}, seed=i) for i in range(runs)]
+        dispatcher = ResilientDispatcher(
+            _SyncPool(), manifests, ResilienceConfig(),
+            Heartbeat(str(tmp_path / "hb")), worker, processes=2)
+        return list(dispatcher.outcomes())
+
+    def test_completions_do_not_wait_for_the_watchdog(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(resilience, "WATCHDOG_PERIOD_S", 30.0)
+        started = time.monotonic()
+        outcomes = self.dispatch(
+            tmp_path, lambda index: (OK, {"run_index": index}, 1), runs=9)
+        assert time.monotonic() - started < 5.0
+        assert sorted(record["run_index"] for _kind, record, _n in outcomes) \
+            == list(range(9))
+
+    def test_task_the_pool_failed_becomes_an_error_record(self, tmp_path):
+        def unpicklable(index):
+            raise TypeError("cannot pickle the result")
+
+        [(kind, record, attempts)] = self.dispatch(tmp_path, unpicklable, runs=1)
+        assert (kind, attempts) == (ERROR, 1)
+        assert record["error"]["type"] == "TypeError"
+        assert record["error"]["classification"] == DETERMINISTIC
+
+
+class _LatePool:
+    """Runs each task at once but reports it only ``delay_s`` later, as a
+    busy parent's result thread would, and back-dates the dispatch so its
+    pickup grace has long run out; ``None`` reports before returning.  A
+    task that returns ``None`` is never reported (its worker died)."""
+
+    def __init__(self, delay_s):
+        self.delay_s = delay_s
+        self.dispatcher = None
+
+    def apply_async(self, func, args, callback, error_callback):
+        self.dispatcher._inflight[args[0]].dispatched_at -= 3600.0
+        outcome = func(*args)
+        if outcome is None:
+            return
+        if self.delay_s is None:
+            callback(outcome)
+        else:
+            threading.Timer(self.delay_s, callback, (outcome,)).start()
+
+    def terminate(self):
+        pass
+
+
+class TestWatchdogWaitsForFinishedRuns:
+    """A run that finished but whose completion has not been consumed is
+    neither lost nor timed out, however long ago it was dispatched."""
+
+    def dispatch(self, tmp_path, pool, worker, runs=1, **config):
+        manifests = [RunManifest(run_index=i, run_id=f"r{i}", scenario="chaos",
+                                 params={}, seed=i) for i in range(runs)]
+        dispatcher = ResilientDispatcher(
+            pool, manifests, ResilienceConfig(**config),
+            self.heartbeat, worker, processes=1)
+        pool.dispatcher = dispatcher
+        return list(dispatcher.outcomes()), dispatcher.stats
+
+    def finishing_worker(self, tmp_path):
+        self.heartbeat = Heartbeat(str(tmp_path / "hb"))
+
+        def worker(index):
+            self.heartbeat.start(index)
+            self.heartbeat.finish(index)
+            return (OK, {"run_index": index}, 1)
+        return worker
+
+    @pytest.mark.parametrize("period_s, delay_s", [
+        (0.0, None),   # completion already queued when the pass is due
+        (0.01, 0.3),   # completion still in transit through many passes
+    ])
+    def test_finished_run_is_not_counted_as_lost(self, tmp_path, monkeypatch,
+                                                 period_s, delay_s):
+        monkeypatch.setattr(resilience, "WATCHDOG_PERIOD_S", period_s)
+        outcomes, stats = self.dispatch(
+            tmp_path, _LatePool(delay_s), self.finishing_worker(tmp_path),
+            runs=3, run_timeout_s=1.0, heartbeat_grace_s=1.0)
+        assert [kind for kind, _record, _n in outcomes] == [OK] * 3
+        assert stats == {"worker_restarts": 0, "timed_out": 0, "redispatched": 0}
+        assert list(self.heartbeat.directory.iterdir()) == []
+
+    def test_result_sent_before_its_worker_died_is_kept(self, tmp_path, monkeypatch):
+        # The completion is queued when the pass is due: it is consumed
+        # before the pass could see the dead worker's done marker.
+        monkeypatch.setattr(resilience, "WATCHDOG_PERIOD_S", 0.0)
+        self.heartbeat = Heartbeat(str(tmp_path / "hb"))
+
+        def worker(index):
+            self.heartbeat.done_path(index).write_text(
+                f"{2 ** 22} 0.0", encoding="utf-8")
+            return (OK, {"run_index": index}, 1)
+
+        outcomes, stats = self.dispatch(tmp_path, _LatePool(None), worker, runs=3)
+        assert [kind for kind, _record, _n in outcomes] == [OK] * 3
+        assert stats == {"worker_restarts": 0, "timed_out": 0, "redispatched": 0}
+
+    def test_finished_run_of_a_dead_worker_is_redispatched(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(resilience, "WATCHDOG_PERIOD_S", 0.01)
+        finish = self.finishing_worker(tmp_path)
+        dispatches = []
+
+        def worker(index):
+            dispatches.append(index)
+            if len(dispatches) == 1:
+                # Finished, then the worker died before sending the result.
+                self.heartbeat.done_path(index).write_text(
+                    f"{2 ** 22} 0.0", encoding="utf-8")
+                return None
+            return finish(index)
+
+        # No run timeout: only the done marker's dead pid can take the run
+        # back, so a dispatcher that misses it would wait forever.
+        finished = []
+        thread = threading.Thread(daemon=True, target=lambda: finished.append(
+            self.dispatch(tmp_path, _LatePool(None), worker)))
+        thread.start()
+        thread.join(10.0)
+        assert finished, "the dispatcher never took the run back"
+        outcomes, stats = finished[0]
+        assert dispatches == [0, 0]
+        assert [kind for kind, _record, _n in outcomes] == [OK]
+        assert stats == {"worker_restarts": 1, "timed_out": 0, "redispatched": 1}
 
 
 # ------------------------------------------------------- interrupt and resume
@@ -396,6 +601,21 @@ class TestHeartbeat:
         heartbeat.cleanup()
         assert not heartbeat.directory.exists()
 
+    def test_finished_run_keeps_a_done_marker_until_cleared(self, tmp_path):
+        heartbeat = Heartbeat(str(tmp_path / "hb"))
+        assert heartbeat.read_done(0) is None
+        heartbeat.start(0)
+        beat = heartbeat.read(0)
+        heartbeat.finish(0)
+        assert heartbeat.read(0) is None
+        assert heartbeat.read_done(0) == beat
+        heartbeat.clear(0)
+        assert heartbeat.read_done(0) is None
+        heartbeat.start(1)
+        heartbeat.finish(1)
+        heartbeat.cleanup()
+        assert not heartbeat.directory.exists()
+
     def test_pid_alive_on_dead_pid(self):
         # PID 2**22 is above the default pid_max on Linux.
         assert not pid_alive(2 ** 22)
@@ -431,6 +651,12 @@ class TestResilienceCLI:
         spec_path = self.write_spec(tmp_path)
         assert campaign_main(["run", str(spec_path), "--quiet",
                               "--run-timeout", "5"]) == 2
+
+    def test_run_timeout_requires_workers(self, tmp_path, capsys):
+        spec_path = self.write_spec(tmp_path)
+        assert campaign_main(["run", str(spec_path), "--quiet",
+                              "--isolate-failures", "--run-timeout", "5"]) == 2
+        assert "workers >= 2" in capsys.readouterr().err
 
     def test_json_mode_emits_outcome_event(self, tmp_path, capsys):
         spec_path = self.write_spec(tmp_path)

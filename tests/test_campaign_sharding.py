@@ -4,7 +4,8 @@ The contract under test: a K-way sharded campaign — each shard run
 independently, on any box, under any hash seed, possibly interrupted and
 resumed — merges into a store byte-identical to a serial run of the whole
 campaign, and ``campaign report`` aggregates it record-at-a-time with
-tables numerically identical to the materialised path.
+tables bit-identical to the materialised oracle in
+``tests/reference_aggregate.py``.
 """
 
 import json
@@ -15,6 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_aggregate import campaign_table
 
 from repro.campaign import (
     CampaignError,
@@ -24,7 +28,6 @@ from repro.campaign import (
     RunningMoments,
     ShardSelector,
     all_shards,
-    campaign_table,
     load_results,
     load_spec_or_shard,
     run_campaign,
@@ -321,6 +324,29 @@ class TestHashSeedIndependence:
         assert merged["seed0"] == merged["seed4242"] == serial
 
 
+#: A result metric as scenarios report it: missing, boolean, int or float.
+_METRIC_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(-1e9, 1e9, allow_nan=False))
+
+_GENERATED_RECORD = st.fixed_dictionaries({
+    "run_id": st.text("abc", min_size=1, max_size=4),
+    "params": st.fixed_dictionaries({
+        "mode": st.sampled_from(["open_loop", "closed_loop", 3]),
+        # Structured axes group by their content digest.
+        "topology": st.sampled_from([{"beds": 1}, {"beds": 2, "wards": ["a"]}]),
+    }),
+    "result": st.fixed_dictionaries({
+        "harmed": _METRIC_VALUE, "min_spo2": _METRIC_VALUE}),
+})
+
+
+def _bits(rows):
+    """Rows with every float as its exact bit pattern (NaN equals NaN)."""
+    return [[cell.hex() if isinstance(cell, float) else cell for cell in row]
+            for row in rows]
+
+
 class TestStreamingAggregation:
     def _records(self, tmp_path):
         directory = tmp_path / "store"
@@ -328,16 +354,21 @@ class TestStreamingAggregation:
         return directory, load_results(directory)
 
     @pytest.mark.parametrize("statistic", STATISTICS)
-    def test_tables_bit_identical_to_materialised(self, tmp_path, statistic):
-        directory, records = self._records(tmp_path)
-        metrics = ["harmed", "total_drug_delivered_mg", "min_spo2"]
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(_GENERATED_RECORD, max_size=40),
+           group_by=st.sampled_from(
+               [["mode"], ["topology"], ["mode", "topology"]]))
+    def test_tables_bit_identical_to_materialised(self, statistic, records,
+                                                  group_by):
+        # "absent" is in no record: its column is NaN in every group.
+        metrics = ["harmed", "min_spo2", "absent"]
         materialised = campaign_table(
-            records, group_by=["mode"], metrics=metrics, statistic=statistic)
+            records, group_by=group_by, metrics=metrics, statistic=statistic)
         streamed = streaming_campaign_table(
-            ResultStore(directory).iter_records(),
-            group_by=["mode"], metrics=metrics, statistic=statistic)
+            iter(records), group_by=group_by, metrics=metrics,
+            statistic=statistic)
+        assert _bits(streamed.rows) == _bits(materialised.rows)
         assert streamed.render() == materialised.render()
-        assert streamed.rows == materialised.rows
 
     def test_iter_records_streams_in_file_order(self, tmp_path):
         directory, records = self._records(tmp_path)
