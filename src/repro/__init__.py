@@ -28,7 +28,7 @@ Subpackages
 ``repro.alarms``
     Threshold, patient-adaptive, and multivariate smart alarms.
 ``repro.ehr``
-    Electronic health record store with access control.
+    Electronic health record store.
 ``repro.workflow``
     Executable clinical workflow language, analysis, and compilation.
 ``repro.verification``

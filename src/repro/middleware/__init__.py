@@ -15,16 +15,12 @@ scenarios.  This package implements the ICE conceptual model in simulation:
 * :class:`~repro.middleware.supervisor_host.SupervisorHost` -- hosts supervisor
   applications (the "supervisor" box of ICE / Figure 1), routing subscriptions
   and commands with authorisation checks from :mod:`repro.security`.
-* :class:`~repro.middleware.clock_sync.ClockSync` -- bounded-skew clock
-  synchronisation between devices, needed by timing-sensitive coordination
-  such as the X-ray/ventilator scenario.
 """
 
 from repro.middleware.bus import BusConfig, DeviceBus
 from repro.middleware.registry import DeviceRegistry, RegistrationError
 from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
-from repro.middleware.clock_sync import ClockSync, DeviceClock
 
 __all__ = [
     "BusConfig",
@@ -35,6 +31,4 @@ __all__ = [
     "TopicQoS",
     "SupervisorApp",
     "SupervisorHost",
-    "ClockSync",
-    "DeviceClock",
 ]

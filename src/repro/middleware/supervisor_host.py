@@ -116,14 +116,9 @@ class SupervisorHost(Process):
 
     def _make_handler(self, app: SupervisorApp):
         def _handler(topic: str, payload: Any, message: Message) -> None:
-            # Fast path: Readings carry their publish time in a slot.  Legacy
-            # dict payloads fall back to the old string-keyed lookup.
-            if type(payload) is Reading:
-                published_at = payload.time
-            elif isinstance(payload, dict):
-                published_at = payload.get("time", message.sent_at)
-            else:
-                published_at = message.sent_at
+            # Readings carry their publish time in a slot; any other payload
+            # is stamped with the instant its message was sent.
+            published_at = payload.time if type(payload) is Reading else message.sent_at
             self.qos.record_delivery(topic, published_at=float(published_at), delivered_at=message.delivered_at)
             app.on_data(topic, payload, message)
         return _handler

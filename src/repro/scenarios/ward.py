@@ -183,7 +183,7 @@ def run_ward_campaign(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     runtime.injector.arm()
     runtime.simulator.run(until=duration_s)
 
-    # Post-shift security audit: the generated attack campaign against the
+    # Post-shift attack audit: the generated attack campaign against the
     # same policy the supervisors commanded through during the run.
     attack_campaign = AttackCampaign(authenticator, policy,
                                      stolen_credentials=stolen)

@@ -15,14 +15,11 @@ quantifies.  This package provides:
 * :mod:`~repro.security.attacks` -- attack campaign models (reprogramming,
   replay, command flooding) run against a policy to measure which attacks
   get through.
-* :class:`~repro.security.audit.AuditLog` -- append-only, hash-chained log
-  of security-relevant events.
 """
 
 from repro.security.policy import CommandAuthorizationPolicy, SecurityPosture
 from repro.security.auth import AuthenticationError, DeviceAuthenticator, DeviceCredential
 from repro.security.attacks import Attack, AttackCampaign, AttackOutcome, AttackResult
-from repro.security.audit import AuditLog, AuditRecord
 
 __all__ = [
     "CommandAuthorizationPolicy",
@@ -34,6 +31,4 @@ __all__ = [
     "AttackCampaign",
     "AttackOutcome",
     "AttackResult",
-    "AuditLog",
-    "AuditRecord",
 ]

@@ -91,13 +91,9 @@ class Channel:
     this halves-or-better the kernel events per sample without reordering
     any deliveries within a channel; :attr:`coalesced_ticks` and
     :attr:`max_batch` stream how often and how large those shared ticks
-    are.  Streaming statistics (sent/delivered/
-    dropped counts, mean/max
+    are.  Streaming statistics (sent/delivered/dropped counts, mean/max
     latency) are kept for the delay-budget analyses in
-    :mod:`repro.core.delays`; the full per-message history
-    (:attr:`latencies`, :attr:`delivered_messages`) is only retained when
-    ``retain_messages=True`` — unconditional retention is an O(events)
-    memory leak at campaign scale.
+    :mod:`repro.core.delays`; no per-message history is retained.
 
     Two more entry points let a router (the device bus) resolve a
     multi-hop path when the message is first sent:
@@ -127,8 +123,6 @@ class Channel:
         name: str,
         config: Optional[ChannelConfig] = None,
         rng=None,
-        *,
-        retain_messages: bool = False,
     ) -> None:
         config = config or ChannelConfig()
         config.validate()
@@ -160,10 +154,10 @@ class Channel:
         # closure per scheduled delivery tick on the hot send path.
         self._deliver_batch_cb = self._deliver_batch
         # Not yet settled, as heaps (bounded by in-flight messages):
-        # route() arrivals as (arrival, sequence, latency, retained message)
-        # and send_at() sends as (send instant, sequence, message, delivery
-        # time or None if the loss draw dropped it).
-        self._routed: List[Tuple[float, int, float, Optional[Message]]] = []
+        # route() arrivals as (arrival, sequence, latency) and send_at()
+        # sends as (send instant, sequence, message, delivery time or None
+        # if the loss draw dropped it).
+        self._routed: List[Tuple[float, int, float]] = []
         self._scheduled: List[Tuple[float, int, Message, Optional[float]]] = []
         self._sent = 0
         self._delivered = 0
@@ -176,14 +170,9 @@ class Channel:
         # Registry-backed metrics; None unless repro.obs was enabled when
         # this channel was constructed.
         self._obs = channel_instruments()
-        # Latency statistics stream (count is `delivered`); the full
-        # per-message history is opt-in — retaining every delivery is an
-        # O(events) memory leak at campaign scale.
+        # Latency statistics stream (count is `delivered`).
         self._latency_sum = 0.0
         self._latency_max = 0.0
-        self.retain_messages = retain_messages
-        self._latencies: List[float] = []
-        self._delivered_messages: List[Message] = []
 
     # ----------------------------------------------------------- subscription
     def subscribe(self, handler: Callable[[Message], None], topic: Optional[str] = None) -> None:
@@ -239,8 +228,7 @@ class Channel:
             self._settle_routed(now, False)
         arrival = self._admit(now)
         if arrival is not None:
-            retained = Message(sender, topic, payload, now, sequence) if self.retain_messages else None
-            heappush(routed, (arrival, sequence, arrival - now, retained))
+            heappush(routed, (arrival, sequence, arrival - now))
         return arrival
 
     def send_at(self, time: float, sender: str, topic: str, payload: Any) -> Message:  # repro-lint: hot
@@ -382,7 +370,7 @@ class Channel:
 
     def _deliver(self, message: Message) -> None:  # repro-lint: hot
         delivered = message.with_delivery(self.simulator.now)
-        self._count_delivery(delivered.latency or 0.0, delivered)
+        self._count_delivery(delivered.latency or 0.0)
         # Iterate a pre-built snapshot (updated on (un)subscribe) so handlers
         # mutating subscriptions cannot disturb the in-flight delivery.
         for topic, handler in self._snapshot:
@@ -399,7 +387,7 @@ class Channel:
                 obs.coalesced_ticks.value += 1
                 obs.max_batch.set_max(size)
 
-    def _count_delivery(self, latency: float, delivered: Optional[Message]) -> None:  # repro-lint: hot
+    def _count_delivery(self, latency: float) -> None:  # repro-lint: hot
         self._delivered += 1
         self._latency_sum += latency
         if latency > self._latency_max:
@@ -408,16 +396,11 @@ class Channel:
         if obs is not None:
             obs.delivered.value += 1
             obs.latency.observe(latency)
-        if self.retain_messages:
-            self._latencies.append(latency)
-            if delivered is not None:
-                self._delivered_messages.append(delivered)
 
     # ------------------------------------------------------------- settlement
-    def _arrive(self, entry: Tuple[float, int, float, Optional[Message]]) -> None:
+    def _arrive(self, entry: Tuple[float, int, float]) -> None:
         """Count one routed arrival as a delivery (no handler runs)."""
-        arrival, _, latency, retained = entry
-        self._count_delivery(latency, None if retained is None else retained.with_delivery(arrival))
+        self._count_delivery(entry[2])
 
     def _settle_routed(self, limit: float, inclusive: bool) -> None:
         """Count routed arrivals before ``limit`` (or at it), one tick per instant."""
@@ -498,16 +481,6 @@ class Channel:
     def max_batch(self) -> int:
         self._catch_up()
         return self._max_batch
-
-    @property
-    def latencies(self) -> List[float]:
-        self._catch_up()
-        return self._latencies
-
-    @property
-    def delivered_messages(self) -> List[Message]:
-        self._catch_up()
-        return self._delivered_messages
 
     @property
     def loss_rate(self) -> float:

@@ -37,7 +37,7 @@ from repro.middleware.bus import DeviceBus
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
 from repro.patient.model import PatientModel
 from repro.patient.population import PatientParameters, PatientPopulation
-from repro.readings import Reading
+from repro.readings import coerce_reading
 from repro.sim.faults import FaultInjector
 from repro.sim.kernel import Simulator
 from repro.sim.random import derive_seed
@@ -213,14 +213,10 @@ class WardSafetyApp(SupervisorApp):
         pump_id = self._pump_by_sensor.get(message.sender)
         if pump_id is None or self._stopped[pump_id]:
             return
-        if type(payload) is Reading:
-            if not payload.valid:
-                return
-            value = payload.value
-        elif isinstance(payload, dict):
-            value = payload.get("value")
-        else:
+        reading = coerce_reading(payload, message.sent_at)
+        if reading is None or not reading.valid:
             return
+        value = reading.value
         if value is not None and value < self.stop_threshold:
             self._stopped[pump_id] = True
             if self.send_command(pump_id, "stop"):
@@ -340,17 +336,10 @@ def _wire_ward_monitor(runtime: HospitalRuntime, ward_runtime: WardRuntime) -> N
         bed = bed_by_device.get(message.sender)
         if bed is None:
             return
-        if type(payload) is Reading:
-            if not payload.valid:
-                return
-            value = payload.value
-        elif isinstance(payload, dict):
-            value = payload.get("value")
-        else:
+        reading = coerce_reading(payload, message.sent_at)
+        if reading is None or not reading.valid or reading.value is None:
             return
-        if value is None:
-            return
-        raised = bed.alarm.observe(simulator.now, topic, float(value))
+        raised = bed.alarm.observe(simulator.now, topic, float(reading.value))
         for event in raised:
             bed.alarms_raised += 1
             # Athlete bradycardia alarms are physiological, not clinical:

@@ -9,8 +9,6 @@ that will provide decision support for caregivers".
 
 * :mod:`~repro.workflow.spec` -- the scenario description language
   (dataclasses for devices, flows, roles, procedure steps, decision rules).
-* :mod:`~repro.workflow.semantics` -- an operational-semantics interpreter
-  that executes a scenario step machine against an environment.
 * :mod:`~repro.workflow.analysis` -- static analysis: unreachable steps,
   ambiguous or missing transitions, role coverage, device requirement
   satisfiability, fault-effect exploration.
@@ -27,7 +25,6 @@ from repro.workflow.spec import (
     DeviceRole,
     ProcedureStep,
 )
-from repro.workflow.semantics import ScenarioInterpreter, StepStatus
 from repro.workflow.analysis import AnalysisFinding, analyse_scenario
 from repro.workflow.compiler import CompiledScenarioApp, compile_scenario, device_requirements
 
@@ -38,8 +35,6 @@ __all__ = [
     "DecisionRule",
     "DeviceRole",
     "ProcedureStep",
-    "ScenarioInterpreter",
-    "StepStatus",
     "AnalysisFinding",
     "analyse_scenario",
     "CompiledScenarioApp",

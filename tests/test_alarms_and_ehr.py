@@ -19,7 +19,6 @@ from repro.alarms.thresholds import (
     ThresholdRule,
     default_adult_rules,
 )
-from repro.ehr.access import AccessPolicy, AccessRequest, Role
 from repro.ehr.store import EHRStore, HistoryEntry
 from repro.patient.population import PatientPopulation
 from repro.readings import Reading
@@ -322,47 +321,3 @@ class TestEHRReadingIntake:
             ehr.record_reading("p1", "map_mmhg", Reading(90.0 + index, True, float(index)))
         ehr.record_reading("p1", "map_mmhg", Reading(0.0, False, 6.0))  # artefact
         assert ehr.baseline("p1", "map_mmhg") == 92.0
-
-
-class TestEHRAccessPolicy:
-    def test_nurse_can_read_history(self):
-        policy = AccessPolicy()
-        decision = policy.check(AccessRequest("nurse-1", Role.NURSE, "p1", "history"))
-        assert decision.allowed
-
-    def test_researcher_cannot_read_history(self):
-        policy = AccessPolicy()
-        decision = policy.check(AccessRequest("res-1", Role.RESEARCHER, "p1", "history"))
-        assert not decision.allowed
-
-    def test_device_supervisor_reads_baselines_only(self):
-        policy = AccessPolicy()
-        assert policy.check(AccessRequest("app", Role.DEVICE_SUPERVISOR, "p1", "baselines")).allowed
-        assert not policy.check(AccessRequest("app", Role.DEVICE_SUPERVISOR, "p1", "demographics")).allowed
-
-    def test_write_permissions_separate_from_read(self):
-        policy = AccessPolicy()
-        assert not policy.check(
-            AccessRequest("admin", Role.ADMINISTRATOR, "p1", "demographics", write=True)
-        ).allowed
-
-    def test_grant_and_revoke(self):
-        policy = AccessPolicy()
-        policy.grant(Role.RESEARCHER, "history")
-        assert policy.check(AccessRequest("r", Role.RESEARCHER, "p1", "history")).allowed
-        policy.revoke(Role.RESEARCHER, "history")
-        assert not policy.check(AccessRequest("r", Role.RESEARCHER, "p1", "history")).allowed
-
-    def test_consent_withdrawal_overrides_role(self):
-        policy = AccessPolicy()
-        policy.withdraw_consent("p1", "nurse-1")
-        assert not policy.check(AccessRequest("nurse-1", Role.NURSE, "p1", "history")).allowed
-        assert policy.check(AccessRequest("nurse-2", Role.NURSE, "p1", "history")).allowed
-
-    def test_audit_log_records_everything(self):
-        policy = AccessPolicy()
-        policy.check(AccessRequest("nurse-1", Role.NURSE, "p1", "history"))
-        policy.check(AccessRequest("res-1", Role.RESEARCHER, "p1", "history"))
-        assert len(policy.audit_log) == 2
-        assert len(policy.denials()) == 1
-        assert len(policy.accesses_for_patient("p1")) == 2

@@ -5,8 +5,8 @@ event whose per-tick queue drains in FIFO send order.  These tests pin:
 
 * the event-count saving itself (one event per coalesced tick),
 * FIFO order within a tick and the new cross-channel grouping semantics,
-* ``latencies``/``stats()`` equivalence with the PR 3 one-event-per-message
-  behaviour (same floats, same order),
+* per-message latency/``stats()`` equivalence with one event per message
+  (same floats, same order),
 * the jitter (random delivery time) vs zero-jitter paths, and
 * hash-seed independence of coalesced delivery order (subprocess check).
 """
@@ -28,8 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def make_channel(sim, name="c", **kwargs):
     rng = kwargs.pop("rng", None)
-    retain = kwargs.pop("retain_messages", False)
-    return Channel(sim, name, ChannelConfig(**kwargs), rng=rng, retain_messages=retain)
+    return Channel(sim, name, ChannelConfig(**kwargs), rng=rng)
 
 
 class TestEventCoalescing:
@@ -152,20 +151,22 @@ class TestStatsEquivalence:
         # Reference: the same five messages sent at five distinct ticks
         # (nothing coalesces — the per-message scheduling of PR 3).
         sim_ref = Simulator()
-        ref = make_channel(sim_ref, latency_s=0.25, retain_messages=True)
-        ref.subscribe(lambda m: None)
+        ref = make_channel(sim_ref, latency_s=0.25)
+        ref_latencies = []
+        ref.subscribe(lambda m: ref_latencies.append(m.latency))
         for i in range(5):
             sim_ref.schedule(i * 1.0, lambda: ref.send("a", "t", 0))
         sim_ref.run()
 
         sim = Simulator()
-        coalesced = make_channel(sim, latency_s=0.25, retain_messages=True)
-        coalesced.subscribe(lambda m: None)
+        coalesced = make_channel(sim, latency_s=0.25)
+        latencies = []
+        coalesced.subscribe(lambda m: latencies.append(m.latency))
         for _ in range(5):
             coalesced.send("a", "t", 0)
         sim.run()
 
-        assert coalesced.latencies == ref.latencies == [0.25] * 5
+        assert latencies == ref_latencies == [0.25] * 5
         # Latency statistics are identical; only the coalescing counters
         # (which exist precisely to tell these two schedules apart) differ.
         coalescing_keys = {"coalesced_ticks", "max_batch"}
@@ -181,8 +182,8 @@ class TestStatsEquivalence:
 
     def test_jitter_latencies_match_rng_draw_order(self):
         # With jitter, per-message latencies are sampled in send order
-        # regardless of how deliveries batch; the retained history must hold
-        # exactly the rng's draws, ordered by delivery time (stable for
+        # regardless of how deliveries batch; the delivered messages must
+        # carry exactly the rng's draws, ordered by delivery time (stable for
         # equal times).
         reference_rng = np.random.default_rng(7)
         expected = sorted(
@@ -191,15 +192,16 @@ class TestStatsEquivalence:
 
         sim = Simulator()
         channel = make_channel(sim, latency_s=0.5, jitter_s=0.2,
-                               rng=np.random.default_rng(7), retain_messages=True)
-        channel.subscribe(lambda m: None)
+                               rng=np.random.default_rng(7))
+        latencies = []
+        channel.subscribe(lambda m: latencies.append(m.latency))
         for _ in range(20):
             channel.send("a", "t", 0)
         sim.run()
         assert channel.delivered == 20
-        # Deliveries happen in delivery-time order, so the retained history
-        # is the sorted rng draws.
-        assert channel.latencies == pytest.approx(expected)
+        # Deliveries happen in delivery-time order, so the observed
+        # latencies are the sorted rng draws.
+        assert latencies == pytest.approx(expected)
         assert channel.mean_latency == pytest.approx(sum(expected) / 20)
         assert channel.max_latency == pytest.approx(max(expected))
 
@@ -312,7 +314,7 @@ order = []
 for endpoint in {endpoints!r}:
     for topic in ("vitals", "status"):
         bus.subscribe(endpoint, topic,
-                      lambda t, p, m, e=endpoint: order.append([e, t, p["value"]]))
+                      lambda t, p, m, e=endpoint: order.append([e, t, p.value]))
 sim.run(until=2.0)
 print(json.dumps({{"order": order, "events": sim.event_count}}))
 """

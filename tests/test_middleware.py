@@ -1,4 +1,4 @@
-"""Tests for the ICE middleware: bus, registry, QoS, clock sync, supervisor host."""
+"""Tests for the ICE middleware: bus, registry, QoS, supervisor host."""
 
 import json
 
@@ -8,7 +8,6 @@ from golden_workload import GOLDEN_PATH, bus_workload
 
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.middleware.bus import BusConfig, DeviceBus
-from repro.middleware.clock_sync import ClockSync, DeviceClock
 from repro.middleware.qos import QoSMonitor, TopicQoS
 from repro.middleware.registry import DeviceRegistry, DeviceRequirement, RegistrationError
 from repro.middleware.supervisor_host import SupervisorApp, SupervisorHost
@@ -262,37 +261,6 @@ class TestQoSMonitor:
         monitor.record_delivery("spo2", published_at=0.0)
         summary = monitor.summary()
         assert "spo2" in summary and summary["spo2"]["deliveries"] == 1.0
-
-
-class TestClockSync:
-    def test_clocks_drift_without_sync(self):
-        clock = DeviceClock("dev", drift_ppm=100.0, offset_s=0.5)
-        assert clock.error(0.0) == pytest.approx(0.5)
-        assert clock.error(1000.0) > 0.5
-
-    def test_sync_reduces_error(self):
-        simulator = Simulator()
-        sync = ClockSync(sync_period_s=10.0, link_delay_asymmetry_s=0.001)
-        sync.add_clock(DeviceClock("a", drift_ppm=50.0, offset_s=0.3))
-        sync.add_clock(DeviceClock("b", drift_ppm=-30.0, offset_s=-0.2))
-        simulator.register(sync)
-        simulator.run(until=25.0)
-        assert sync.sync_rounds == 2
-        assert sync.current_max_error() < 0.01
-
-    def test_worst_case_skew_bound_holds(self):
-        simulator = Simulator()
-        sync = ClockSync(sync_period_s=10.0, link_delay_asymmetry_s=0.002)
-        sync.add_clock(DeviceClock("a", drift_ppm=100.0, offset_s=0.3))
-        simulator.register(sync)
-        simulator.run(until=100.0)
-        assert sync.current_max_error() <= sync.worst_case_skew() + 1e-9
-
-    def test_duplicate_clock_rejected(self):
-        sync = ClockSync()
-        sync.add_clock(DeviceClock("a"))
-        with pytest.raises(ValueError):
-            sync.add_clock(DeviceClock("a"))
 
 
 class _RecordingApp(SupervisorApp):

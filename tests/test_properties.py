@@ -10,7 +10,6 @@ from reference_bus import TwoHopBus
 
 from repro.analysis.metrics import classify_alarms
 from repro.analysis.tables import format_table
-from repro.control.envelope import EnvelopeLimits, SafetyEnvelope
 from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice, clamp
 from repro.devices.capnograph import MAX_ETCO2_MMHG
 from repro.middleware.bus import BusConfig, DeviceBus
@@ -18,7 +17,6 @@ from repro.middleware.qos import QoSMonitor
 from repro.patient.pharmacodynamics import PDParameters, RespiratoryDepressionPD, hill
 from repro.patient.pharmacokinetics import PKParameters, TwoCompartmentPK
 from repro.patient.vitals import VitalSignsModel
-from repro.security.audit import AuditLog
 from repro.sim.channel import ChannelConfig
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
@@ -118,31 +116,6 @@ class TestKernelProperties:
         a = RandomStreams(seed).stream(name).random(3)
         b = RandomStreams(seed).stream(name).random(3)
         assert list(a) == list(b)
-
-
-class TestEnvelopeProperties:
-    @given(requests=st.lists(st.floats(min_value=-10.0, max_value=100.0), min_size=1, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_envelope_output_always_within_limits(self, requests):
-        envelope = SafetyEnvelope(EnvelopeLimits(
-            max_rate=5.0, max_rate_change_per_s=2.0, max_cumulative=50.0, cumulative_window_s=1000.0))
-        time = 0.0
-        for request in requests:
-            time += 1.0
-            allowed = envelope.apply(time, request)
-            assert 0.0 <= allowed <= 5.0 + 1e-9
-
-
-class TestAuditLogProperties:
-    @given(entries=st.lists(st.tuples(st.floats(min_value=0, max_value=1e6, allow_nan=False),
-                                      st.text(max_size=8), st.text(max_size=8)),
-                            min_size=1, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_chain_always_verifies_untampered(self, entries):
-        log = AuditLog()
-        for time, actor, action in entries:
-            log.append(time, actor, action)
-        assert log.verify_chain()
 
 
 class TestAlarmClassificationProperties:

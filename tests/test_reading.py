@@ -1,7 +1,6 @@
-"""Tests for the slotted Reading payload type and its Mapping-compat shim."""
+"""Tests for the slotted Reading payload type and its decoder."""
 
 import json
-from collections.abc import Mapping
 
 import pytest
 
@@ -47,61 +46,17 @@ class TestReadingBasics:
     def test_repr(self):
         assert repr(Reading(1.0, False, 3.0)) == "Reading(value=1.0, valid=False, time=3.0)"
 
-
-class TestMappingShim:
-    """The dict-payload compatibility contract third-party handlers rely on."""
-
-    def test_getitem(self):
-        reading = Reading(88.0, False, 4.0)
-        assert reading["value"] == 88.0
-        assert reading["valid"] is False
-        assert reading["time"] == 4.0
-
-    def test_getitem_unknown_key_raises_keyerror(self):
-        with pytest.raises(KeyError):
-            Reading(1.0)["unit"]
-
-    def test_get_with_defaults(self):
-        reading = Reading(88.0)
-        assert reading.get("value") == 88.0
-        assert reading.get("valid", False) is True  # real field wins
-        assert reading.get("unit") is None
-        assert reading.get("unit", "mmHg") == "mmHg"
-
-    def test_iteration_len_contains(self):
-        reading = Reading(5.0, True, 1.0)
-        assert list(reading) == ["value", "valid", "time"]
-        assert len(reading) == 3
-        assert "value" in reading and "unit" not in reading
-        assert list(reading.keys()) == ["value", "valid", "time"]
-        assert list(reading.values()) == [5.0, True, 1.0]
-        assert dict(reading.items()) == {"value": 5.0, "valid": True, "time": 1.0}
-
-    def test_isinstance_mapping(self):
-        assert isinstance(Reading(1.0), Mapping)
-
-    def test_round_trip_through_dict(self):
-        reading = Reading(96.5, False, 30.0)
-        as_dict = dict(reading)
-        assert as_dict == {"value": 96.5, "valid": False, "time": 30.0}
-        assert as_dict == reading.as_dict()
-        assert Reading(**as_dict) == reading
-        # ...and back through the coercion shim.
-        assert coerce_reading(as_dict) == reading
-
-    def test_equality_with_legacy_dict_payload(self):
-        reading = Reading(96.5, True, 30.0)
-        assert reading == {"value": 96.5, "valid": True, "time": 30.0}
-        assert reading != {"value": 96.5, "valid": True, "time": 31.0}
-        assert reading != {"value": 96.5}
-        assert reading != 96.5
-
     def test_as_dict_json_matches_legacy_payload_bytes(self):
         # The trace serialisation path depends on this: a Reading rendered
         # through as_dict() must produce the same JSON as the old dict
         # literal the devices built, key order included.
         legacy = {"value": 97.0, "valid": True, "time": 8.0}
-        assert json.dumps(Reading(97.0, True, 8.0).as_dict()) == json.dumps(legacy)
+        reading = Reading(97.0, True, 8.0)
+        assert json.dumps(reading.as_dict()) == json.dumps(legacy)
+        assert Reading(**reading.as_dict()) == reading
+        # A Reading equals only Readings, never its dict form or its value.
+        assert reading != legacy
+        assert reading != 97.0
 
 
 class TestCoerceReading:
@@ -151,8 +106,7 @@ class TestDeviceProducesReadings:
             assert type(reading) is Reading
             assert reading.valid is True
         assert [r.time for r in spo2] == [pytest.approx(2.0), pytest.approx(4.0)]
-        # The legacy shim still answers like the old dict payload did.
-        assert spo2[0]["value"] == spo2[0].value
+        assert 0.0 <= spo2[0].value <= 100.0
 
     def test_publish_reading_records_trace_signal_in_same_call(self):
         from repro.devices.bp_monitor import BloodPressureMonitor

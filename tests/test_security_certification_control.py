@@ -5,7 +5,6 @@ import pytest
 from repro.certification.evidence import Evidence, EvidenceStatus, EvidenceStore
 from repro.certification.gsn import AssuranceCase, GoalNode, NodeType, SolutionNode, StrategyNode
 from repro.certification.incremental import IncrementalCertifier
-from repro.control.envelope import EnvelopeLimits, SafetyEnvelope
 from repro.control.pid import PIDController, PIDGains
 from repro.control.supervisory import (
     CandidateController,
@@ -13,7 +12,6 @@ from repro.control.supervisory import (
     SupervisoryConfig,
 )
 from repro.security.attacks import Attack, AttackCampaign, standard_reprogramming_campaign
-from repro.security.audit import AuditLog
 from repro.security.auth import AuthenticationError, DeviceAuthenticator
 from repro.security.policy import (
     CommandAuthorizationPolicy,
@@ -152,30 +150,6 @@ class TestAttackCampaign:
     def test_invalid_attack_kind_rejected(self):
         with pytest.raises(ValueError):
             Attack(kind="teleport", attacker="x", target_device="pump", command="stop")
-
-
-class TestAuditLog:
-    def test_append_and_chain_valid(self):
-        log = AuditLog()
-        log.append(1.0, "supervisor", "stop_pump", {"device": "pump-1"})
-        log.append(2.0, "nurse", "resume_pump")
-        assert len(log) == 2
-        assert log.verify_chain()
-
-    def test_tampering_detected(self):
-        log = AuditLog()
-        log.append(1.0, "supervisor", "stop_pump")
-        log.append(2.0, "nurse", "resume_pump")
-        log.tamper(0, actor="attacker")
-        assert not log.verify_chain()
-
-    def test_queries(self):
-        log = AuditLog()
-        log.append(1.0, "a", "x")
-        log.append(2.0, "b", "x")
-        log.append(3.0, "a", "y")
-        assert len(log.records_for("a")) == 2
-        assert len(log.records_with_action("x")) == 2
 
 
 def build_assurance_case():
@@ -373,37 +347,3 @@ class TestSupervisoryAdaptiveController:
         controller.update(0.0, 0.0, dt=1.0)
         controller.update(1.0, 1.0, dt=1.0)
         assert set(controller.scores) == {"gain-0.5", "gain-1.0", "gain-2.0"}
-
-
-class TestSafetyEnvelope:
-    def _envelope(self, **overrides):
-        limits = dict(max_rate=5.0, max_rate_change_per_s=1.0, max_cumulative=10.0,
-                      cumulative_window_s=100.0)
-        limits.update(overrides)
-        return SafetyEnvelope(EnvelopeLimits(**limits))
-
-    def test_limits_validation(self):
-        with pytest.raises(ValueError):
-            EnvelopeLimits(max_rate=0.0, max_rate_change_per_s=1.0, max_cumulative=1.0,
-                           cumulative_window_s=1.0).validate()
-
-    def test_absolute_clamp(self):
-        envelope = self._envelope(max_rate_change_per_s=1000.0)
-        assert envelope.apply(1.0, 50.0) == 5.0
-        assert envelope.clamp_events == 1
-
-    def test_rate_of_change_clamp(self):
-        envelope = self._envelope()
-        envelope.apply(0.0, 0.0)
-        assert envelope.apply(1.0, 5.0) == pytest.approx(1.0)
-
-    def test_negative_request_clamped_to_zero(self):
-        envelope = self._envelope()
-        assert envelope.apply(0.0, -3.0) == 0.0
-
-    def test_cumulative_limit(self):
-        envelope = self._envelope(max_rate=100.0, max_rate_change_per_s=1000.0, max_cumulative=10.0)
-        envelope.apply(0.0, 10.0)
-        envelope.apply(1.0, 10.0)  # delivered 10 over the previous second
-        allowed = envelope.apply(2.0, 10.0)
-        assert allowed < 10.0

@@ -149,12 +149,13 @@ class TestJitterAndBandwidth:
     def test_jitter_varies_latency(self, sim):
         channel = Channel(sim, "jitter-channel",
                           ChannelConfig(latency_s=0.5, jitter_s=0.2),
-                          rng=np.random.default_rng(2), retain_messages=True)
-        channel.subscribe(lambda m: None)
+                          rng=np.random.default_rng(2))
+        latencies = []
+        channel.subscribe(lambda m: latencies.append(m.latency))
         for _ in range(50):
             channel.send("a", "t", 0)
         sim.run()
-        latencies = channel.latencies
+        assert len(latencies) == 50
         assert min(latencies) >= 0.3 - 1e-9
         assert max(latencies) <= 0.7 + 1e-9
         assert max(latencies) - min(latencies) > 0.05

@@ -1,4 +1,4 @@
-"""Tests for the clinical workflow language, semantics, analysis, and compiler."""
+"""Tests for the clinical workflow language, analysis, and compiler."""
 
 import pytest
 
@@ -10,10 +10,8 @@ from repro.scenarios.pca_scenario import PCA_OUTCOME_ALPHABET, build_pca_scenari
 from repro.sim.kernel import Simulator
 from repro.workflow.analysis import analyse_scenario, errors
 from repro.workflow.compiler import compile_scenario, device_requirements
-from repro.workflow.semantics import ScenarioInterpreter, StepStatus
 from repro.workflow.spec import (
     CaregiverRole,
-    ClinicalScenario,
     DataFlow,
     DecisionRule,
     DeviceRole,
@@ -53,60 +51,6 @@ class TestScenarioSpec:
     def test_data_flow_timing_validation(self):
         with pytest.raises(ValueError):
             DataFlow(source_role="a", topic="t", destination_role="b", max_latency_s=0.0)
-
-
-class TestSemantics:
-    def test_happy_path_completes(self, pca_spec):
-        interpreter = ScenarioInterpreter(
-            pca_spec,
-            outcome_oracle=lambda step: {"monitor": "shift_end"}.get(step.step_id, "ok"),
-        )
-        result = interpreter.run()
-        assert result.completed
-        assert result.visited_step_ids[0] == "verify_prescription"
-        assert result.visited_step_ids[-1] == "handover"
-        assert result.total_duration_s > 0
-
-    def test_unhandled_outcome_reported(self, pca_spec):
-        interpreter = ScenarioInterpreter(
-            pca_spec, outcome_oracle=lambda step: "earthquake"
-        )
-        result = interpreter.run()
-        assert not result.completed
-        assert "do not cover" in result.error
-        assert result.steps[-1].status == StepStatus.UNHANDLED_OUTCOME
-
-    def test_alarm_path_through_assessment(self, pca_spec):
-        outcomes = {"monitor": "alarm", "assess_patient": "discontinue"}
-        interpreter = ScenarioInterpreter(
-            pca_spec, outcome_oracle=lambda step: outcomes.get(step.step_id, "ok")
-        )
-        result = interpreter.run()
-        assert result.completed
-        assert "assess_patient" in result.visited_step_ids
-
-    def test_non_terminating_loop_detected(self, pca_spec):
-        # Always looping between monitor/assess_patient without terminating.
-        outcomes = {"monitor": "alarm", "assess_patient": "resume"}
-        interpreter = ScenarioInterpreter(
-            pca_spec, outcome_oracle=lambda step: outcomes.get(step.step_id, "ok"), max_steps=30
-        )
-        result = interpreter.run()
-        assert not result.completed
-        assert "did not terminate" in result.error
-
-    def test_missing_initial_step_error(self):
-        scenario = ClinicalScenario(name="empty", procedure=[
-            ProcedureStep(step_id="a", role="nurse", action="do", next_steps={})
-        ])
-        result = ScenarioInterpreter(scenario).run()
-        assert not result.completed
-        assert "no initial" in result.error
-
-    def test_explore_all_outcomes(self, pca_spec):
-        interpreter = ScenarioInterpreter(pca_spec)
-        results = interpreter.explore_all_outcomes({"verify_prescription": ["ok", "mismatch"]})
-        assert len(results) == 2
 
 
 class TestAnalysis:
@@ -264,31 +208,58 @@ class TestCompiler:
         assert app.observations == {"spo2": 97.0}
 
     def test_compiled_app_payload_routing_through_reading_shim(self, pca_spec):
-        # The latest-value tracker must accept every observation shape a
-        # topic has ever carried (slotted Readings, legacy dicts, bare
-        # numbers) and ignore command parameters and status payloads — the
-        # old isinstance(payload, dict) check silently dropped Readings.
+        # Every data-topic consumer decodes payloads through coerce_reading:
+        # it acts on every observation shape a topic has ever carried
+        # (slotted Readings, legacy dicts, bare numbers), skips invalid
+        # samples in any shape, and ignores status payloads.  Each payload
+        # goes to fresh consumers on "spo2" with a value of 80, below the
+        # ward's stop and alarm limits, and each reports whether it acted.
+        from types import SimpleNamespace
+
+        from repro.core.pca import PCASafetySupervisor
         from repro.readings import Reading
+        from repro.topology import build_hospital, standard_hospital
 
-        app = compile_scenario(pca_spec, {
-            "analgesia_pump": "p", "spo2_source": "o", "respiration_source": "c",
-        })
+        payloads = [
+            ("valid Reading", Reading(80.0, True, 1.0), True),
+            ("invalid Reading", Reading(80.0, False, 1.0), False),
+            ("dict flagged invalid", {"value": 80.0, "valid": False}, False),
+            ("bare number", 80, True),
+            ("pump_status", {"device_id": "p", "stopped": False, "state": "running",
+                             "delivered_mg_last_hour": 0.0,
+                             "basal_rate_mg_per_hr": 1.0}, False),
+            ("bed_height", {"height_cm": 30.0, "time": 5.0}, False),
+        ]
+        message = SimpleNamespace(sender="o", sent_at=0.0, delivered_at=0.1)
+        topology = standard_hospital("payloads", wards=1, beds_per_ward=1,
+                                     device_mix={"pulse_oximeter": 1.0, "pca_pump": 1.0})
 
-        class _Message:
-            sent_at = 0.0
-            delivered_at = 0.1
+        def consumers_acting_on(payload):
+            app = compile_scenario(pca_spec, {
+                "analgesia_pump": "p", "spo2_source": "o", "respiration_source": "c",
+            })
+            app.on_data("spo2", payload, message)
+            supervisor = PCASafetySupervisor("pca", "p")
+            supervisor.on_data("spo2", payload, message)
+            latest = supervisor.latest("spo2")
+            # The ward consumers see the payload through the real bus route.
+            runtime = build_hospital(topology, 7)
+            ward = runtime.wards[0]
+            bed = ward.beds[0]
+            ward.bus.publish(bed.devices["pulse_oximeter"].descriptor.device_id,
+                             "spo2", payload)
+            runtime.simulator.run(until=0.5)
+            return {
+                "compiled app": app.observations.get("spo2") == 80.0,
+                "PCA supervisor": latest is not None and latest[1:] == (80.0, True),
+                "ward safety app": ward.safety_app.stop_commands == 1,
+                "ward bed observer": bed.alarms_raised == 1,
+            }
 
-        message = _Message()
-        app.on_data("spo2", Reading(96.0, True, 1.0), message)
-        assert app.observations == {"spo2": 96.0}
-        app.on_data("spo2", Reading(40.0, False, 2.0), message)  # invalid: kept out
-        assert app.observations == {"spo2": 96.0}
-        app.on_data("respiratory_rate", 11, message)  # bare number is tracked
-        assert app.observations["respiratory_rate"] == 11.0
-
-        # Command/status topics carry non-reading payloads: never tracked.
-        app.on_data("pump_status", {"device_id": "p", "stopped": False}, message)
-        app.on_data("bed_height", {"height_cm": 30.0, "time": 5.0}, message)
-        app.on_data("__command__:p:stop", {"reason": "test"}, message)
-        app.on_data("probe_status", {"attached": True}, message)
-        assert set(app.observations) == {"spo2", "respiratory_rate"}
+        expected = {label: acted for label, _, acted in payloads}
+        observed = {}
+        for label, payload, _ in payloads:
+            for consumer, acted in consumers_acting_on(payload).items():
+                observed.setdefault(consumer, {})[label] = acted
+        for consumer, acted in observed.items():
+            assert acted == expected, consumer
