@@ -26,16 +26,6 @@ from repro.sim.sampler import BatchedTraceWriter, PeriodicSampler
 from repro.sim.trace import TraceRecorder
 
 
-def clamp(value: float, low: float, high: float) -> float:
-    """``float(np.clip(value, low, high))`` for one scalar, bit for bit.
-
-    NaN passes through and ``-0.0`` keeps its sign, exactly as ``np.clip``
-    does for ``low <= high``, at a tenth of the cost of a numpy call on the
-    per-sample path.
-    """
-    return float(min(max(value, low), high))
-
-
 class DeviceState(enum.Enum):
     """Operational state of a device."""
 
@@ -197,6 +187,7 @@ class MedicalDevice(Process):
         if self._publisher is not None:
             self._publisher(topic, payload)
 
+    # repro-lint: hot
     def publish_reading(
         self,
         topic: str,

@@ -13,8 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice, clamp
+from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.patient.model import PatientModel
+from repro.readings import clamp
 from repro.sim.trace import TraceRecorder
 
 # Normal end-tidal CO2 is about 38 mmHg; hypoventilation raises it roughly in

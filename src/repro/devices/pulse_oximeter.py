@@ -12,62 +12,103 @@ artefacts are available for the fault-injection and smart-alarm experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice, clamp
+from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.patient.model import PatientModel
+from repro.readings import clamp
 from repro.sim.trace import TraceRecorder
 
 
-class _RollingMean:
-    """Fixed-size chronological sample window with a cached numpy mean.
+def _pairwise_sum(values: List[float], start: int, n: int) -> float:
+    """numpy's float64 pairwise sum of ``values[start:start + n]``, ``n >= 8``.
 
-    Replaces the ``deque`` + ``np.mean(deque)`` pair: converting the deque
-    to an array on every read dominated the oximeter's sample cost.  Samples
-    live in a preallocated float64 array kept in chronological order (the
-    shift is a C-level memmove over a handful of elements), so the mean is
-    bit-identical to ``np.mean`` over the equivalent deque, and it is
-    computed at most once per appended sample.
+    A line-for-line port of ``pairwise_sum_DOUBLE``, which ``np.add.reduce``
+    (and so ``np.mean``) runs over a contiguous float64 array: blocks of up
+    to 128 are summed into eight strided accumulators combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus the left-over tail, and
+    longer runs are split in half on a multiple of eight and recursed.
+    """
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
+        stop = start + n - n % 8
+        for i in range(start + 8, stop, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(stop, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+class _RollingMean:
+    """Fixed-size chronological sample window with a cached mean.
+
+    Samples live in a plain list of Python floats, oldest first, and the
+    mean is computed at most once per change, in pure Python but bit for
+    bit as ``np.mean`` computes it over the equivalent
+    ``deque(maxlen=size)``: the sum starts from ``np.add``'s identity
+    ``0.0`` (so an all ``-0.0`` window averages to ``0.0``), adds windows
+    under eight left to right, and uses numpy's pairwise summation
+    (:func:`_pairwise_sum`) from eight up.  ``sum()`` is not a substitute:
+    it differs from numpy from eight samples on, and Python 3.12 made it a
+    compensated sum.
     """
 
-    __slots__ = ("_buffer", "_count", "_mean")
+    __slots__ = ("_values", "_size", "_mean")
 
     def __init__(self, size: int) -> None:
-        self._buffer = np.empty(size, dtype=float)
-        self._count = 0
+        self._values: List[float] = []
+        self._size = size
         self._mean: Optional[float] = None
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._values)
 
-    def append(self, value: float) -> None:
-        buffer = self._buffer
-        if self._count < buffer.shape[0]:
-            buffer[self._count] = value
-            self._count += 1
-        else:
-            buffer[:-1] = buffer[1:]
-            buffer[-1] = value
+    def append(self, value: float) -> None:  # repro-lint: hot
+        values = self._values
+        values.append(value)
+        if len(values) > self._size:
+            del values[0]
         self._mean = None
 
     @property
-    def mean(self) -> float:
-        if self._count == 0:
-            return float("nan")
+    def mean(self) -> float:  # repro-lint: hot
         mean = self._mean
         if mean is None:
-            mean = self._mean = float(self._buffer[:self._count].mean())
+            values = self._values
+            n = len(values)
+            if n == 0:
+                return float("nan")
+            total = 0.0
+            if n < 8:
+                for value in values:
+                    total += value
+            else:
+                total += _pairwise_sum(values, 0, n)
+            mean = self._mean = total / n
         return mean
 
     def clear(self) -> None:
-        self._count = 0
+        self._values.clear()
         self._mean = None
 
     def bias(self, offset: float) -> None:
         """Add ``offset`` to every held sample (value-corruption faults)."""
-        self._buffer[:self._count] += offset
+        values = self._values
+        for i in range(len(values)):
+            values[i] += offset
         self._mean = None
 
 

@@ -8,7 +8,7 @@ test suite otherwise only catches at runtime:
   logic, no object identity in orderings (DET01–DET04).
 * **HOT** — hot-path discipline: functions marked ``# repro-lint: hot``
   may not allocate un-slotted instances, payload dicts, or per-call
-  function objects (HOT01–HOT03).
+  function objects (HOT01–HOT03), nor call numpy (HOT04).
 * **LAYER** — import purity: the simulation core never imports its
   drivers, observability stays an import leaf, certification/analysis
   remain read-only consumers (LAYER01–LAYER03).

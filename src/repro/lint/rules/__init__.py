@@ -20,6 +20,7 @@ from repro.lint.rules.det import (
 from repro.lint.rules.hot import (
     HotClosureRule,
     HotDictLiteralRule,
+    HotNumpyCallRule,
     UnslottedHotClassRule,
 )
 from repro.lint.rules.layer import (
@@ -48,6 +49,7 @@ def all_rules() -> List[Rule]:
         UnslottedHotClassRule(),
         HotDictLiteralRule(),
         HotClosureRule(),
+        HotNumpyCallRule(),
         SimPurityRule(),
         ObsLeafRule(),
         ConsumerLayeringRule(),

@@ -1,4 +1,4 @@
-"""Rule protocol, project context, and the class index shared by rules."""
+"""Rule protocol, project context, class index and name resolver shared by rules."""
 
 from __future__ import annotations
 
@@ -100,6 +100,40 @@ def build_class_index(sources: List[SourceFile]) -> Dict[Tuple[str, str], ClassI
                     exempt=_is_exempt(node),
                 )
     return index
+
+
+def _dotted_chain(node: ast.expr) -> Optional[List[str]]:
+    """``a.b.c`` -> ``["a", "b", "c"]`` when the chain roots at a Name."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        parts.reverse()
+        return parts
+    return None
+
+
+def resolve_dotted(src: SourceFile, node: ast.expr) -> Optional[str]:
+    """Resolve an attribute chain to its fully-qualified dotted name.
+
+    ``np.random.normal`` resolves through ``import numpy as np`` to
+    ``numpy.random.normal``; ``datetime.now`` through ``from datetime import
+    datetime`` to ``datetime.datetime.now``.
+    """
+    chain = _dotted_chain(node)
+    if not chain:
+        return None
+    root = chain[0]
+    module = src.module_aliases.get(root)
+    if module is not None:
+        return ".".join([module] + chain[1:])
+    imported = src.from_imports.get(root)
+    if imported is not None:
+        base, original = imported
+        return ".".join([base, original] + chain[1:])
+    return ".".join(chain)
 
 
 @dataclass

@@ -14,45 +14,11 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.graph import prefix_match
-from repro.lint.rules.base import ProjectContext, Rule
+from repro.lint.rules.base import ProjectContext, Rule, resolve_dotted
 from repro.lint.source import SourceFile
 from repro.lint.violations import Violation
 
 # --------------------------------------------------------------------- helpers
-
-
-def _dotted_chain(node: ast.expr) -> Optional[List[str]]:
-    """``a.b.c`` -> ``["a", "b", "c"]`` when the chain roots at a Name."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
-
-
-def _resolve_dotted(src: SourceFile, node: ast.expr) -> Optional[str]:
-    """Resolve an attribute chain to its fully-qualified dotted name.
-
-    ``np.random.normal`` resolves through ``import numpy as np`` to
-    ``numpy.random.normal``; ``datetime.now`` through ``from datetime import
-    datetime`` to ``datetime.datetime.now``.
-    """
-    chain = _dotted_chain(node)
-    if not chain:
-        return None
-    root = chain[0]
-    module = src.module_aliases.get(root)
-    if module is not None:
-        return ".".join([module] + chain[1:])
-    imported = src.from_imports.get(root)
-    if imported is not None:
-        base, original = imported
-        return ".".join([base, original] + chain[1:])
-    return ".".join(chain)
 
 
 def _enclosing_symbols(tree: ast.Module) -> Dict[int, str]:
@@ -226,7 +192,7 @@ class UnseededRandomnessRule(Rule):
         for node in ast.walk(src.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _resolve_dotted(src, node.func)
+            dotted = resolve_dotted(src, node.func)
             if dotted is None:
                 continue
             message = self._classify(dotted, node)
@@ -295,7 +261,7 @@ class WallClockRule(Rule):
         for node in ast.walk(src.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _resolve_dotted(src, node.func)
+            dotted = resolve_dotted(src, node.func)
             if dotted is None:
                 continue
             pretty = _WALL_CLOCK.get(dotted)

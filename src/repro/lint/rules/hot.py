@@ -5,7 +5,10 @@ per sample — millions of times per campaign.  Three allocation classes have
 each been removed from this codebase's hot path once already (PR 2 and PR 4)
 and must not creep back: instance-dict objects (un-slotted classes), fresh
 payload dicts, and per-call function objects (lambdas, nested defs,
-comprehension/generator machinery).
+comprehension/generator machinery).  Numpy calls are the fourth: on one or
+a handful of scalars their per-call overhead outweighs the arithmetic, so
+hot functions do scalar math in plain floats and keep any numpy result they
+need in a cache filled off the hot path.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from repro.lint.rules.base import ProjectContext, Rule
+from repro.lint.rules.base import ProjectContext, Rule, resolve_dotted
 from repro.lint.source import SourceFile
 from repro.lint.violations import Violation
 
@@ -144,6 +147,35 @@ class HotClosureRule(Rule):
                         "time or unroll into a loop",
                         symbol=fn.name,
                     )
+
+
+class HotNumpyCallRule(Rule):
+    """HOT04: no numpy calls on the hot path."""
+
+    id = "HOT04"
+    summary = (
+        "no np.*/numpy.* calls inside hot functions; do scalar math in "
+        "Python floats and cache numpy results off the hot path"
+    )
+
+    def check_file(
+        self, src: SourceFile, ctx: ProjectContext
+    ) -> Iterator[Violation]:
+        for fn in src.hot_functions:
+            for node in _hot_walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                dotted = resolve_dotted(src, node.func)
+                if dotted is None or not (dotted == "numpy" or dotted.startswith("numpy.")):
+                    continue
+                yield self.violation(
+                    src,
+                    node,
+                    f"calls {dotted} on the hot path; a numpy call on a few "
+                    "scalars costs more than the math — use Python floats "
+                    "or a value cached off the hot path",
+                    symbol=fn.name,
+                )
 
 
 def hot_marker_count(sources: List[SourceFile]) -> int:

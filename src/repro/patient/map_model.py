@@ -12,7 +12,7 @@ can quantify the false alarms caused -- and suppressed -- by bed motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -39,7 +39,14 @@ class ArterialPressureParameters:
 
 
 class ArterialPressureModel:
-    """True MAP dynamics plus a transducer whose reading depends on bed height."""
+    """True MAP dynamics plus a transducer whose reading depends on bed height.
+
+    The drift decay over a step depends only on ``dt_min`` and is cached per
+    exact step length, so set ``parameters`` before the model first advances.
+    """
+
+    #: Bound on cached per-``dt`` decays, as for the PK propagators.
+    _DECAY_CACHE_LIMIT = 64
 
     def __init__(
         self,
@@ -52,6 +59,7 @@ class ArterialPressureModel:
         self._true_map = self.parameters.baseline_map_mmhg
         self._target_map = self.parameters.baseline_map_mmhg
         self._bed_height_offset_cm = 0.0
+        self._decays: Dict[float, float] = {}
 
     # ----------------------------------------------------------------- state
     @property
@@ -83,11 +91,20 @@ class ArterialPressureModel:
         """Raise (+) or lower (-) the bed / transducer by ``offset_cm``."""
         self._bed_height_offset_cm = float(offset_cm)
 
-    def advance(self, dt_min: float) -> float:
+    def _decay(self, dt_min: float) -> float:
+        """Drift decay over ``dt_min``, as ``np.exp`` gives it."""
+        decay = float(np.exp(-dt_min / self.parameters.drift_time_constant_min))
+        if len(self._decays) < self._DECAY_CACHE_LIMIT:
+            self._decays[dt_min] = decay
+        return decay
+
+    def advance(self, dt_min: float) -> float:  # repro-lint: hot
         """Advance the true-MAP drift by ``dt_min`` minutes; returns true MAP."""
         if dt_min < 0:
             raise ValueError("dt_min must be non-negative")
-        decay = np.exp(-dt_min / self.parameters.drift_time_constant_min)
+        decay = self._decays.get(dt_min)
+        if decay is None:
+            decay = self._decay(dt_min)
         self._true_map = float(self._target_map + (self._true_map - self._target_map) * decay)
         return self._true_map
 

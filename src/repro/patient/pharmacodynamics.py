@@ -20,6 +20,7 @@ cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
@@ -86,12 +87,21 @@ def hill(concentration: float, ec50: float, coefficient: float) -> float:
 
 
 class RespiratoryDepressionPD:
-    """Effect-site PD model for respiratory depression and analgesia."""
+    """Effect-site PD model for respiratory depression and analgesia.
+
+    The equilibration decay over a step depends only on ``dt_min`` and is
+    cached per exact step length, so set ``parameters`` before the model
+    first advances.
+    """
+
+    #: Bound on cached per-``dt`` decays, as for the PK propagators.
+    _DECAY_CACHE_LIMIT = 64
 
     def __init__(self, parameters: PDParameters) -> None:
         parameters.validate()
         self.parameters = parameters
         self._effect_site_mg_per_l = 0.0
+        self._decays: Dict[float, float] = {}
 
     @property
     def effect_site_concentration_mg_per_l(self) -> float:
@@ -100,7 +110,14 @@ class RespiratoryDepressionPD:
     def reset(self) -> None:
         self._effect_site_mg_per_l = 0.0
 
-    def advance(self, dt_min: float, plasma_concentration_mg_per_l: float) -> float:
+    def _decay(self, dt_min: float) -> float:
+        """Equilibration decay over ``dt_min``, as ``np.exp`` gives it."""
+        decay = float(np.exp(-self.parameters.ke0_per_min * dt_min))
+        if len(self._decays) < self._DECAY_CACHE_LIMIT:
+            self._decays[dt_min] = decay
+        return decay
+
+    def advance(self, dt_min: float, plasma_concentration_mg_per_l: float) -> float:  # repro-lint: hot
         """Advance the effect-site compartment ``dt_min`` minutes.
 
         Uses the exact solution of the first-order equilibration ODE for a
@@ -113,7 +130,9 @@ class RespiratoryDepressionPD:
             raise ValueError("plasma concentration must be non-negative")
         if dt_min == 0:
             return self._effect_site_mg_per_l
-        decay = np.exp(-self.parameters.ke0_per_min * dt_min)
+        decay = self._decays.get(dt_min)
+        if decay is None:
+            decay = self._decay(dt_min)
         self._effect_site_mg_per_l = (
             plasma_concentration_mg_per_l
             + (self._effect_site_mg_per_l - plasma_concentration_mg_per_l) * decay

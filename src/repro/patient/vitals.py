@@ -11,9 +11,11 @@ artefacts on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+from repro.readings import clamp
 
 
 @dataclass(frozen=True)
@@ -79,33 +81,56 @@ class VitalSignsParameters:
 
 
 class VitalSignsModel:
-    """Continuous-time vital-sign dynamics, advanced in discrete steps."""
+    """Continuous-time vital-sign dynamics, advanced in discrete steps.
+
+    The per-step decay factors depend only on ``dt_min`` and are cached per
+    exact step length (steps are near-periodic), so set ``parameters``
+    before the model first advances.  ``state`` is one snapshot shared by
+    every read until the model next changes.
+    """
+
+    #: Bound on cached per-``dt`` decay pairs, as for the PK propagators.
+    _DECAY_CACHE_LIMIT = 64
 
     def __init__(self, parameters: Optional[VitalSignsParameters] = None) -> None:
         self.parameters = parameters or VitalSignsParameters()
         self.parameters.validate()
-        self._spo2 = self.parameters.baseline_spo2
-        self._pain = self.parameters.initial_pain_level
-        self._respiratory_rate = self.parameters.baseline_respiratory_rate_bpm
-        self._heart_rate = self.parameters.baseline_heart_rate_bpm
+        self._decays: Dict[float, Tuple[float, float]] = {}
+        self.reset()
 
     # ----------------------------------------------------------------- state
     @property
     def state(self) -> VitalSigns:
-        return VitalSigns(
-            respiratory_rate_bpm=self._respiratory_rate,
-            spo2_percent=self._spo2,
-            heart_rate_bpm=self._heart_rate,
-            pain_level=self._pain,
-        )
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = VitalSigns(
+                respiratory_rate_bpm=self._respiratory_rate,
+                spo2_percent=self._spo2,
+                heart_rate_bpm=self._heart_rate,
+                pain_level=self._pain,
+            )
+        return snapshot
 
     def reset(self) -> None:
         self._spo2 = self.parameters.baseline_spo2
         self._pain = self.parameters.initial_pain_level
         self._respiratory_rate = self.parameters.baseline_respiratory_rate_bpm
         self._heart_rate = self.parameters.baseline_heart_rate_bpm
+        self._snapshot: Optional[VitalSigns] = None
 
     # ------------------------------------------------------------- dynamics
+    def _decay(self, dt_min: float) -> Tuple[float, float]:
+        """``(spo2 decay, pain decay)`` over ``dt_min``, as ``np.exp`` gives them."""
+        p = self.parameters
+        decays = (
+            float(np.exp(-dt_min / p.spo2_time_constant_min)),
+            float(np.exp(-p.pain_decay_per_min * dt_min)),
+        )
+        if len(self._decays) < self._DECAY_CACHE_LIMIT:
+            self._decays[dt_min] = decays
+        return decays
+
+    # repro-lint: hot
     def advance(self, dt_min: float, respiratory_drive: float, analgesia: float) -> VitalSigns:
         """Advance ``dt_min`` minutes given the PD model's outputs.
 
@@ -124,6 +149,10 @@ class VitalSignsModel:
             return self.state
 
         p = self.parameters
+        decays = self._decays.get(dt_min)
+        if decays is None:
+            decays = self._decay(dt_min)
+        spo2_decay, pain_decay = decays
         # Respiratory rate tracks drive directly (fast dynamics relative to dt).
         self._respiratory_rate = p.baseline_respiratory_rate_bpm * respiratory_drive
 
@@ -136,13 +165,12 @@ class VitalSignsModel:
         else:
             deficit = (p.hypoventilation_threshold - ventilation_fraction) / p.hypoventilation_threshold
             spo2_target = p.baseline_spo2 - deficit * (p.baseline_spo2 - p.min_spo2)
-        decay = np.exp(-dt_min / p.spo2_time_constant_min)
-        self._spo2 = float(spo2_target + (self._spo2 - spo2_target) * decay)
-        self._spo2 = float(np.clip(self._spo2, p.min_spo2, 100.0))
+        spo2 = spo2_target + (self._spo2 - spo2_target) * spo2_decay
+        self._spo2 = clamp(spo2, p.min_spo2, 100.0)
 
         # Pain decays naturally and is relieved by analgesia.
-        natural_pain = self._pain * np.exp(-p.pain_decay_per_min * dt_min)
-        self._pain = float(np.clip(natural_pain * (1.0 - analgesia), 0.0, 10.0))
+        natural_pain = self._pain * pain_decay
+        self._pain = clamp(natural_pain * (1.0 - analgesia), 0.0, 10.0)
 
         # Heart rate: baseline + pain contribution + hypoxia compensation.
         hypoxia = max(0.0, p.baseline_spo2 - self._spo2)
@@ -151,6 +179,7 @@ class VitalSignsModel:
             + p.heart_rate_pain_gain * self._pain
             + p.heart_rate_hypoxia_gain * hypoxia
         )
+        self._snapshot = None
         return self.state
 
     # -------------------------------------------------------------- analysis
@@ -162,4 +191,5 @@ class VitalSignsModel:
         """External pain stimulus (e.g. physiotherapy) on the 0-10 scale."""
         if magnitude < 0:
             raise ValueError("pain stimulus must be non-negative")
-        self._pain = float(np.clip(self._pain + magnitude, 0.0, 10.0))
+        self._pain = clamp(self._pain + magnitude, 0.0, 10.0)
+        self._snapshot = None

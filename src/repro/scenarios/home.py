@@ -31,6 +31,7 @@ import numpy as np
 from repro.alarms.thresholds import ThresholdAlarm, ThresholdRule, AlarmSeverity
 from repro.analysis.metrics import detection_latency
 from repro.campaign.registry import campaign_scenario
+from repro.readings import clamp
 
 
 @dataclass
@@ -122,7 +123,7 @@ class HomeMonitoringScenario:
         spo2, heart_rate = self._true_vitals(time)
         spo2 += float(self._rng.normal(0.0, self.config.spo2_noise_sd))
         heart_rate += float(self._rng.normal(0.0, self.config.heart_rate_noise_sd))
-        return float(np.clip(spo2, 0.0, 100.0)), max(0.0, heart_rate)
+        return clamp(spo2, 0.0, 100.0), max(0.0, heart_rate)
 
     def _make_alarm(self) -> ThresholdAlarm:
         return ThresholdAlarm(

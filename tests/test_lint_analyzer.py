@@ -42,7 +42,7 @@ def rules_at(result, rel_path):
 class TestRuleFixtures:
     def test_exit_code_is_one_on_failing_fixtures(self, fixture_result):
         assert fixture_result.exit_code == 1
-        assert len(fixture_result.failing) == 17
+        assert len(fixture_result.failing) == 19
 
     def test_det_rules_fire_on_the_det_fixture(self, fixture_result):
         rules = rules_at(fixture_result, "fix/sim/det_bad.py")
@@ -58,6 +58,15 @@ class TestRuleFixtures:
         hot01 = next(v for v in fixture_result.failing if v.rule == "HOT01")
         assert "UnslottedPayload" in hot01.message
         assert hot01.symbol == "dispatch"
+
+    def test_hot04_fires_on_numpy_calls_in_hot_functions_only(self, fixture_result):
+        assert rules_at(fixture_result, "fix/sim/hot_numpy_bad.py") == {"HOT04"}
+        hot04 = [v for v in fixture_result.failing if v.rule == "HOT04"]
+        # np.mean through the module alias and exp through `from numpy
+        # import`; the unmarked cache-miss helper may call numpy.
+        assert [(v.symbol, v.message.split()[1]) for v in hot04] == [
+            ("mean", "numpy.mean"), ("decay", "numpy.exp"),
+        ]
 
     def test_layer01_and_layer03_fire_on_the_sim_fixture(self, fixture_result):
         rules = rules_at(fixture_result, "fix/sim/layer_bad.py")
@@ -97,8 +106,8 @@ class TestRuleFixtures:
         assert [v.rule for v in suppressed] == ["DET03"]
 
     def test_hot_marker_count_covers_marked_fixtures(self, fixture_result):
-        # hot_bad has 3 marked methods, hot_good has 3.
-        assert fixture_result.hot_functions == 6
+        # hot_bad has 3 marked methods, hot_good has 3, hot_numpy_bad 2.
+        assert fixture_result.hot_functions == 8
 
 
 class TestSelfClean:
@@ -145,7 +154,7 @@ class TestSelfClean:
         assert listed == {
             "DET01", "DET02", "DET03", "DET04",
             "GOLD01",
-            "HOT01", "HOT02", "HOT03",
+            "HOT01", "HOT02", "HOT03", "HOT04",
             "LAYER01", "LAYER02", "LAYER03",
             "LINT01",
         }

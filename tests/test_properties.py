@@ -2,21 +2,28 @@
 
 import math
 import struct
+from collections import deque
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_bus import TwoHopBus
+from reference_patient import ReferencePatient, model_state
 
 from repro.analysis.metrics import classify_alarms
 from repro.analysis.tables import format_table
-from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice, clamp
+from repro.devices.base import DeviceDescriptor, DeviceState, MedicalDevice
 from repro.devices.capnograph import MAX_ETCO2_MMHG
+from repro.devices.pulse_oximeter import _RollingMean
 from repro.middleware.bus import BusConfig, DeviceBus
 from repro.middleware.qos import QoSMonitor
+from repro.patient.map_model import ArterialPressureModel
+from repro.patient.model import PatientModel
 from repro.patient.pharmacodynamics import PDParameters, RespiratoryDepressionPD, hill
 from repro.patient.pharmacokinetics import PKParameters, TwoCompartmentPK
+from repro.patient.population import DEFAULT_PATIENT, PatientPopulation
 from repro.patient.vitals import VitalSignsModel
+from repro.readings import clamp
 from repro.sim.channel import ChannelConfig
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
@@ -179,6 +186,132 @@ class TestScalarClamp:
     def test_clamp_is_bit_identical_to_np_clip(self, value, bounds):
         low, high = bounds
         assert _bits(clamp(value, low, high)) == _bits(float(np.clip(value, low, high)))
+
+
+MIN_NORMAL = 2.2250738585072014e-308
+
+#: Oximeter samples: signed zeros, subnormals, and magnitudes 1e-3 .. 1e3.
+window_values = st.one_of(
+    st.sampled_from([-0.0, 0.0]),
+    st.floats(min_value=-MIN_NORMAL, max_value=MIN_NORMAL, allow_subnormal=True),
+    st.builds(math.copysign, st.floats(min_value=1e-3, max_value=1e3), st.sampled_from([1.0, -1.0])),
+)
+
+
+class TestRollingMeanMatchesNumpy:
+    """The pure-Python oximeter window against ``np.mean`` over a deque."""
+
+    @staticmethod
+    def _assert_same_mean(window, reference):
+        assert len(window) == len(reference)
+        if not reference:
+            assert math.isnan(window.mean)
+        else:
+            assert _bits(window.mean) == _bits(float(np.mean(np.array(reference))))
+
+    @given(size=st.integers(min_value=1, max_value=20) | st.just(137),
+           ops=st.lists(st.one_of(
+               st.tuples(st.just("append"), st.lists(window_values, min_size=1, max_size=24),
+                         st.integers(min_value=1, max_value=12)),
+               st.tuples(st.just("bias"), window_values, st.just(1)),
+               st.tuples(st.just("clear"), st.none(), st.just(1)),
+           ), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_mean_is_bit_identical_to_np_mean_over_deque(self, size, ops):
+        window = _RollingMean(size)
+        reference = deque(maxlen=size)
+        for op, argument, repeat in ops:
+            if op == "append":
+                # Repeated bursts fill windows past 128 samples.
+                for value in argument * repeat:
+                    window.append(value)
+                    reference.append(value)
+                    self._assert_same_mean(window, reference)
+            elif op == "bias":
+                window.bias(argument)
+                reference = deque((value + argument for value in reference), maxlen=size)
+            else:
+                window.clear()
+                reference.clear()
+            self._assert_same_mean(window, reference)
+
+
+_PATIENTS = [DEFAULT_PATIENT] + [
+    PatientPopulation(seed=seed).sample_one(f"p{seed}", sensitive=sensitive, athlete=athlete)
+    for seed, sensitive, athlete in ((1, False, False), (2, True, False), (3, False, True))
+]
+
+#: Step lengths in minutes: zero, the periodic steps a run repeats, irregular
+#: steps, and outage-length gaps.
+step_lengths = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5.0 / 60.0, 2.0 / 60.0, 1.0]),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=10.0, max_value=240.0),
+)
+
+
+def _state_bits(state):
+    return [_bits(value) for value in state]
+
+
+class TestPatientStepMatchesReference:
+    """``PatientModel.advance_by`` against a fresh-numpy step per call."""
+
+    @given(patient=st.sampled_from(_PATIENTS),
+           loading_dose=st.floats(min_value=0.0, max_value=10.0),
+           ops=st.lists(st.one_of(
+               st.tuples(st.just("advance"), step_lengths),
+               st.tuples(st.just("advance"), step_lengths),
+               st.tuples(st.just("bolus"), st.floats(min_value=0.0, max_value=10.0)),
+               st.tuples(st.just("rate"), st.floats(min_value=0.0, max_value=0.5)),
+               st.tuples(st.just("map_target"), st.floats(min_value=40.0, max_value=120.0)),
+               st.tuples(st.just("pain"), st.floats(min_value=0.0, max_value=5.0)),
+           ), min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_states_bit_identical_to_reference(self, patient, loading_dose, ops):
+        model = PatientModel(patient)
+        model.infuse_bolus(loading_dose)  # most runs then pass through hypoventilation
+        reference = ReferencePatient(model)
+        for op, value in ops:
+            if op == "advance":
+                model.advance_by(value)
+                reference.advance_by(value)
+            elif op == "bolus":
+                model.infuse_bolus(value)
+                reference.central_mg += value
+            elif op == "rate":
+                model.set_infusion_rate(value)
+                reference.infusion_rate = value
+            elif op == "map_target":
+                model.map_model.set_target_map(value)
+                reference.target_map = value
+            else:
+                model.vitals_model.add_pain_stimulus(value)
+                reference.pain = float(np.clip(reference.pain + value, 0.0, 10.0))
+            assert _state_bits(model_state(model)) == _state_bits(reference.state())
+
+    def test_decay_caches_stay_bounded_and_correct_past_the_limit(self):
+        model = PatientModel(DEFAULT_PATIENT)
+        model.infuse_bolus(10.0)
+        model.set_infusion_rate(0.5)
+        model.map_model.set_target_map(60.0)
+        reference = ReferencePatient(model)
+        caches = [
+            (model.pk._propagators, TwoCompartmentPK._PROPAGATOR_CACHE_LIMIT),
+            (model.pd._decays, RespiratoryDepressionPD._DECAY_CACHE_LIMIT),
+            (model.vitals_model._decays, VitalSignsModel._DECAY_CACHE_LIMIT),
+            (model.map_model._decays, ArterialPressureModel._DECAY_CACHE_LIMIT),
+        ]
+        steps = [0.01 * (i + 1) for i in range(max(bound for _, bound in caches) + 16)]
+        # Forward fills every cache past its bound; backward replays the
+        # uncached step lengths first, then the cached ones.
+        for dt_min in steps + steps[::-1]:
+            model.advance_by(dt_min)
+            reference.advance_by(dt_min)
+            assert _state_bits(model_state(model)) == _state_bits(reference.state())
+        for cache, bound in caches:
+            assert list(cache) == steps[:bound]
 
 
 class _ListQoS:
