@@ -6,7 +6,7 @@ from repro.analysis.metrics import (
     aggregate_outcomes,
     classify_alarms,
 )
-from repro.analysis.stats import bootstrap_ci, paired_difference, summarise
+from repro.analysis.stats import bootstrap_ci, summarise
 from repro.analysis.tables import Table, format_table
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "aggregate_outcomes",
     "classify_alarms",
     "bootstrap_ci",
-    "paired_difference",
     "summarise",
     "Table",
     "format_table",

@@ -121,23 +121,6 @@ def classify_alarms(
     return confusion
 
 
-def time_weighted_mean(samples: Sequence[Tuple[float, float]], end_time: Optional[float] = None) -> float:
-    """Time-weighted mean of a step signal given ``(time, value)`` samples."""
-    if not samples:
-        raise ValueError("samples must be non-empty")
-    total = 0.0
-    duration = 0.0
-    for (t0, v0), (t1, _) in zip(samples, samples[1:]):
-        total += v0 * (t1 - t0)
-        duration += t1 - t0
-    if end_time is not None and end_time > samples[-1][0]:
-        total += samples[-1][1] * (end_time - samples[-1][0])
-        duration += end_time - samples[-1][0]
-    if duration == 0:
-        return float(samples[-1][1])
-    return total / duration
-
-
 def detection_latency(
     event_time: float,
     response_times: Sequence[float],

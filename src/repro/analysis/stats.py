@@ -68,28 +68,3 @@ def bootstrap_ci(
         stats[i] = statistic(sample)
     alpha = (1.0 - confidence) / 2.0
     return float(np.quantile(stats, alpha)), float(np.quantile(stats, 1.0 - alpha))
-
-
-def paired_difference(
-    baseline: Sequence[float],
-    treatment: Sequence[float],
-) -> Dict[str, float]:
-    """Paired comparison (same workload under two configurations).
-
-    Returns the mean difference (treatment - baseline), the ratio of means,
-    and the fraction of pairs in which the treatment improved (was lower).
-    """
-    a = np.asarray(list(baseline), dtype=float)
-    b = np.asarray(list(treatment), dtype=float)
-    if a.size != b.size:
-        raise ValueError("paired samples must have equal length")
-    if a.size == 0:
-        raise ValueError("samples must be non-empty")
-    differences = b - a
-    baseline_mean = float(a.mean())
-    ratio = float(b.mean() / baseline_mean) if baseline_mean != 0 else float("inf")
-    return {
-        "mean_difference": float(differences.mean()),
-        "ratio_of_means": ratio,
-        "fraction_improved": float(np.mean(b < a)),
-    }

@@ -366,10 +366,8 @@ def _merge_metrics(args: argparse.Namespace, log: StructLogger,
         snapshot = Path(segment) / "metrics.ndjson"
         if snapshot.exists():
             groups.append(obs_export.read_snapshot(snapshot))
-    out = Path(args.metrics_out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(obs_export.dump_lines(obs_export.merge_lines(groups)),
-                   encoding="utf-8")
+    out = obs_export.write_snapshot(args.metrics_out,
+                                    lines=obs_export.merge_lines(groups))
     log.info(f"metrics snapshot ({len(groups) - 1} segment shard(s)) -> {out}",
              event="metrics-written", path=str(out), shards=len(groups) - 1)
 

@@ -487,10 +487,8 @@ class CampaignEngine:
             )
         groups = [obs_export.snapshot_lines(meta={"source": "campaign-engine"})]
         groups.extend(shard_groups)
-        merged = obs_export.merge_lines(groups)
-        self.metrics_out.parent.mkdir(parents=True, exist_ok=True)
-        self.metrics_out.write_text(obs_export.dump_lines(merged),
-                                    encoding="utf-8")
+        obs_export.write_snapshot(self.metrics_out,
+                                  lines=obs_export.merge_lines(groups))
         for path in shard_paths:
             path.unlink()
         if shard_dir is not None and shard_dir.is_dir():

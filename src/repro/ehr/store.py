@@ -12,8 +12,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.readings import Reading
-
 
 @dataclass
 class HistoryEntry:
@@ -95,10 +93,6 @@ class EHRStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def patient_ids(self) -> List[str]:
-        return sorted(self._records)
-
     # --------------------------------------------------------------- history
     def record_observation(self, patient_id: str, time: float, vital: str, value: float) -> None:
         """Append a vital-sign observation used to learn per-patient baselines."""
@@ -106,17 +100,6 @@ class EHRStore:
         record.add_history(
             HistoryEntry(time=time, category="observation", description=vital, data={"value": value})
         )
-
-    def record_reading(self, patient_id: str, vital: str, reading: Reading) -> None:
-        """Record a device :class:`Reading` natively as an observation.
-
-        The reading's own sample time stamps the entry; invalid readings
-        (probe-off, lead-off artefacts) are not observations and are skipped
-        so they cannot poison learned baselines.
-        """
-        if not reading.valid:
-            return
-        self.record_observation(patient_id, reading.time, vital, float(reading.value))
 
     def record_medication(self, patient_id: str, time: float, medication: str, dose_mg: float) -> None:
         record = self.get(patient_id)

@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.lint.violations import Violation
 
@@ -79,8 +79,3 @@ def apply_baseline(
         fingerprint for fingerprint, count in remaining.items() if count > 0
     )
     return match
-
-
-def baseline_counts(baseline: Dict[str, int]) -> Tuple[int, int]:
-    """(distinct fingerprints, total accepted occurrences)."""
-    return len(baseline), sum(baseline.values())

@@ -50,10 +50,6 @@ class ImportGraph:
     def source(self, module: str) -> SourceFile:
         return self._sources[module]
 
-    def direct_imports(self, module: str) -> Dict[str, int]:
-        """``imported module -> first import line`` for one module."""
-        return dict(self._edges.get(module, {}))
-
     def find_path_to(
         self, start: str, forbidden: Tuple[str, ...]
     ) -> Optional[List[str]]:

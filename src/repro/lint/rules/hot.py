@@ -14,7 +14,7 @@ need in a cache filled off the hot path.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.lint.rules.base import ProjectContext, Rule, resolve_dotted
 from repro.lint.source import SourceFile
@@ -176,12 +176,3 @@ class HotNumpyCallRule(Rule):
                     "or a value cached off the hot path",
                     symbol=fn.name,
                 )
-
-
-def hot_marker_count(sources: List[SourceFile]) -> int:
-    """Total hot-marked functions (used by the CLI summary)."""
-    seen: Set[Tuple[str, int]] = set()
-    for src in sources:
-        for fn in src.hot_functions:
-            seen.add((src.module, fn.lineno))
-    return len(seen)

@@ -1,14 +1,12 @@
 """``repro.obs`` — zero-overhead-when-disabled observability.
 
-Five pieces, one enable switch (``REPRO_OBS=1`` or :func:`enable`):
+Four pieces, one enable switch (``REPRO_OBS=1`` or :func:`enable`):
 
 * :mod:`repro.obs.metrics` — slotted ``Counter`` / ``Gauge`` / ``Histogram``
   in a process-wide registry; instrument bundles give hot paths direct
   attribute access and collapse to ``None`` when disabled.
 * :mod:`repro.obs.spans` — sim-time span tracing for run lifecycle phases
   with deterministic ids derived from run-id seeding.
-* :mod:`repro.obs.profiler` — an opt-in sampling profiler that attributes
-  event-dispatch wall time to callback owners every N-th event.
 * :mod:`repro.obs.export` — deterministic NDJSON snapshots plus the shard
   merge used by the campaign engine.
 * :mod:`repro.obs.logging` — a structured logging facade (human / json /
@@ -22,7 +20,6 @@ or off); export ordering is deterministic under pinned ``PYTHONHASHSEED``.
 from repro.obs.export import (
     dump_lines,
     merge_lines,
-    merge_snapshots,
     read_snapshot,
     snapshot_lines,
     write_snapshot,
@@ -38,7 +35,6 @@ from repro.obs.metrics import (
     enabled,
     registry,
 )
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.spans import SpanTracer, derive_id, tracer
 
 __all__ = [
@@ -46,7 +42,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SamplingProfiler",
     "SpanTracer",
     "StructLogger",
     "derive_id",
@@ -56,7 +51,6 @@ __all__ = [
     "enabled",
     "get_logger",
     "merge_lines",
-    "merge_snapshots",
     "read_snapshot",
     "registry",
     "snapshot_lines",

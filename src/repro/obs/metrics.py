@@ -253,8 +253,9 @@ class KernelInstruments:
 
     ``heap_peak`` is a plain int the scheduling path compares against (no
     method call); :meth:`flush_run` folds a finished ``run()`` segment into
-    the registry in one shot, so the dispatch loop itself pays nothing
-    per event.
+    the registry in one shot, so the dispatch loop itself pays nothing per
+    fired event.  ``events_cancelled`` counts the cancelled entries the
+    dispatch loop discards.
     """
 
     __slots__ = ("heap_peak", "events_fired", "events_cancelled",

@@ -161,21 +161,3 @@ class RespiratoryDepressionPD:
             self.parameters.ec50_analgesia_mg_per_l,
             self.parameters.hill_analgesia,
         )
-
-    def concentration_for_depression(self, depression_fraction: float) -> float:
-        """Invert the respiratory Hill curve: concentration giving the fraction.
-
-        Useful for computing safety margins and for calibrating experiment
-        workloads (e.g. "what bolus schedule drives this patient to 50%
-        depression?").
-        """
-        if not 0 <= depression_fraction < self.parameters.max_respiratory_depression:
-            raise ValueError(
-                "depression_fraction must be within "
-                f"[0, {self.parameters.max_respiratory_depression})"
-            )
-        if depression_fraction == 0:
-            return 0.0
-        normalised = depression_fraction / self.parameters.max_respiratory_depression
-        ratio = normalised / (1.0 - normalised)
-        return self.parameters.ec50_respiratory_mg_per_l * ratio ** (1.0 / self.parameters.hill_respiratory)

@@ -168,30 +168,6 @@ class TwoCompartmentPK:
         self._peripheral_mg = max(0.0, float(new_state[1]))
         return self.plasma_concentration_mg_per_l
 
-    def advance_euler(self, dt_min: float, infusion_rate_mg_per_min: float = 0.0, substeps: int = 100) -> float:
-        """Sub-stepped Euler integration; kept as an independent cross-check."""
-        if dt_min < 0:
-            raise ValueError("dt_min must be non-negative")
-        if substeps <= 0:
-            raise ValueError("substeps must be positive")
-        p = self.parameters
-        h = dt_min / substeps
-        central = self._central_mg
-        peripheral = self._peripheral_mg
-        for _ in range(substeps):
-            d_central = (
-                infusion_rate_mg_per_min
-                - p.k10 * central
-                - p.k12 * central
-                + p.k21 * peripheral
-            )
-            d_peripheral = p.k12 * central - p.k21 * peripheral
-            central += h * d_central
-            peripheral += h * d_peripheral
-        self._central_mg = max(0.0, central)
-        self._peripheral_mg = max(0.0, peripheral)
-        return self.plasma_concentration_mg_per_l
-
     # --------------------------------------------------------------- analysis
     def steady_state_concentration(self, infusion_rate_mg_per_min: float) -> float:
         """Plasma concentration reached if the infusion ran forever."""

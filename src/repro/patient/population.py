@@ -173,16 +173,3 @@ class PatientPopulation:
         )
         parameters.validate()
         return parameters
-
-    def sample_cohorts(self, count: int) -> Dict[str, List[PatientParameters]]:
-        """Sample and bucket patients by sub-population for stratified reporting."""
-        patients = self.sample(count)
-        cohorts: Dict[str, List[PatientParameters]] = {"typical": [], "opioid_sensitive": [], "athlete": []}
-        for patient in patients:
-            if "opioid_sensitive" in patient.tags:
-                cohorts["opioid_sensitive"].append(patient)
-            elif patient.is_athlete:
-                cohorts["athlete"].append(patient)
-            else:
-                cohorts["typical"].append(patient)
-        return cohorts

@@ -248,24 +248,3 @@ class FaultInjector:
         if device is None:
             raise KeyError(f"fault targets unknown device {spec.target!r}")
         return device
-
-
-def communication_failure_campaign(
-    channel_name: str,
-    first_start: float,
-    outage_duration: float,
-    period: float,
-    count: int,
-) -> List[FaultSpec]:
-    """Build a periodic channel-outage campaign (used by the E2 delay bench)."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return [
-        FaultSpec(
-            kind="channel_outage",
-            start=first_start + i * period,
-            duration=outage_duration,
-            target=channel_name,
-        )
-        for i in range(count)
-    ]

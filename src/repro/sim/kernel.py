@@ -6,10 +6,12 @@ number, so a simulation run is a pure function of its inputs and seeds.
 
 Hot-path layout: the heap holds plain ``(time, priority, sequence, event)``
 tuples so every heap comparison is a C-level tuple comparison, and
-:class:`Event` is a ``__slots__`` class carrying only per-event state.  The
-simulator tracks the live (queued, not cancelled) event count incrementally,
-which keeps :meth:`Simulator.pending` O(1) and lets :meth:`Simulator.peek`
-lazily discard cancelled heads instead of scanning the queue.
+:class:`Event` is a ``__slots__`` class carrying only per-event state.
+Cancelling an event only marks it: the dispatch loop and
+:meth:`Simulator.peek` discard cancelled entries lazily when they reach the
+head of the heap.  The kernel keeps no live-event count, so
+:meth:`Simulator.pending` is a scan of the queue, kept for tests and
+diagnostics.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import math
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.metrics import kernel_instruments
 
@@ -36,7 +38,7 @@ class Event:
     """
 
     __slots__ = ("time", "priority", "sequence", "callback", "name",
-                 "cancelled", "_sim", "_in_queue")
+                 "cancelled")
 
     def __init__(
         self,
@@ -53,18 +55,10 @@ class Event:
         self.callback = callback
         self.name = name
         self.cancelled = cancelled
-        self._sim: Optional["Simulator"] = None
-        self._in_queue = False
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when its time comes."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._in_queue and self._sim is not None:
-                sim = self._sim
-                sim._live -= 1
-                if sim._metrics is not None:
-                    sim._metrics.events_cancelled.value += 1
+        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = " cancelled" if self.cancelled else ""
@@ -94,11 +88,9 @@ class Simulator:
         self._stopped = False
         self._processes: List["Process"] = []
         self._event_count = 0
-        self._live = 0  # queued and not cancelled; kept exact incrementally
         # Observability: None unless repro.obs is enabled at construction
         # time, so the disabled hot path pays one attribute check at most.
         self._metrics = kernel_instruments()
-        self._profiler = None
 
     # ------------------------------------------------------------------ time
     @property
@@ -137,10 +129,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule event at non-finite time {time!r}")
         sequence = next(self._sequence)
         event = Event(time, priority, sequence, callback, name)
-        event._sim = self
-        event._in_queue = True
         heappush(self._queue, (time, priority, sequence, event))
-        self._live += 1
         metrics = self._metrics
         if metrics is not None:
             depth = len(self._queue)
@@ -167,10 +156,7 @@ class Simulator:
         time = float(time)
         sequence = next(self._sequence)
         event = Event(time, priority, sequence, callback, name)
-        event._sim = self
-        event._in_queue = True
         heappush(self._queue, (time, priority, sequence, event))
-        self._live += 1
         metrics = self._metrics
         if metrics is not None:
             depth = len(self._queue)
@@ -210,10 +196,9 @@ class Simulator:
         # Sentinel bounds keep the per-event checks to two comparisons.
         time_bound = math.inf if until is None else until
         count_bound = math.inf if max_events is None else max_events
-        # Hoisted observability state: with obs disabled both are None and
-        # the loop pays one local is-None check per event (profiler) plus
-        # nothing at all for metrics (accounted as deltas after the loop).
-        profiler = self._profiler
+        # Hoisted observability state: with obs disabled this is None and the
+        # loop pays nothing for metrics (accounted as deltas after the loop;
+        # only the cancelled-event branch touches the counter directly).
         metrics = self._metrics
         if metrics is not None:
             fired_before = self._event_count
@@ -232,16 +217,13 @@ class Simulator:
                     break
                 pop(queue)
                 event = entry[3]
-                event._in_queue = False
                 if event.cancelled:
+                    if metrics is not None:
+                        metrics.events_cancelled.value += 1
                     continue
-                self._live -= 1
                 self._now = time
                 self._event_count += 1
-                if profiler is None:
-                    event.callback()
-                else:
-                    profiler.dispatch(event)
+                event.callback()
             else:
                 if until is not None and self._now < until:
                     self._now = until
@@ -253,29 +235,13 @@ class Simulator:
                                   perf_counter() - wall_before)
         return self._now
 
-    def step(self) -> bool:
-        """Execute exactly one pending event.  Returns False if none remain."""
-        queue = self._queue
-        while queue:
-            entry = heappop(queue)
-            event = entry[3]
-            event._in_queue = False
-            if event.cancelled:
-                continue
-            self._live -= 1
-            self._now = entry[0]
-            self._event_count += 1
-            event.callback()
-            return True
-        return False
-
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
     def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue.  O(1)."""
-        return self._live
+        """Number of not-yet-cancelled events in the queue (a scan: O(n))."""
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty.
@@ -289,24 +255,9 @@ class Simulator:
             entry = queue[0]
             if entry[3].cancelled:
                 heappop(queue)
-                entry[3]._in_queue = False
                 continue
             return entry[0]
         return None
-
-    # ---------------------------------------------------------- observability
-    def attach_profiler(self, profiler) -> None:
-        """Attach a :class:`repro.obs.SamplingProfiler` to the dispatch loop.
-
-        Takes effect on the next :meth:`run` call (the loop hoists the
-        profiler reference once, so attaching mid-run has no effect on the
-        segment already executing).
-        """
-        self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        """Remove the attached profiler (next :meth:`run` is uninstrumented)."""
-        self._profiler = None
 
     # ------------------------------------------------------------- processes
     def register(self, process: "Process") -> None:
@@ -406,13 +357,3 @@ class Process:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def build_simulator(config: Optional[Dict[str, Any]] = None) -> Simulator:
-    """Convenience factory used by scenario builders.
-
-    ``config`` may carry a ``start_time`` key; everything else is ignored so
-    callers can pass their full scenario configuration dict straight through.
-    """
-    config = config or {}
-    return Simulator(start_time=float(config.get("start_time", 0.0)))

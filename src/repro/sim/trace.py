@@ -19,9 +19,8 @@ when a producer last flushed its batches.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -179,22 +178,6 @@ class TraceRecorder:
             return None
         return (buffer.times[-1], buffer.values[-1])
 
-    def value_at(self, signal: str, time: float) -> Optional[Any]:
-        """Most recent sample of ``signal`` at or before ``time``.
-
-        Samples are recorded in nondecreasing time order (the simulator clock
-        never goes backwards and :meth:`merge` re-sorts), so this is a binary
-        search rather than a scan.
-        """
-        self._drain()
-        buffer = self._signals.get(signal)
-        if buffer is None:
-            return None
-        index = bisect.bisect_right(buffer.times, time) - 1
-        if index < 0:
-            return None
-        return buffer.values[index]
-
     def events(self, signal: Optional[str] = None) -> List[TracePoint]:
         if signal is None:
             return list(self._events)
@@ -295,17 +278,3 @@ class TraceRecorder:
     def __len__(self) -> int:
         self._drain()
         return sum(len(buffer.times) for buffer in self._signals.values()) + len(self._events)
-
-
-def resample(samples: Iterable[Tuple[float, float]], times: np.ndarray) -> np.ndarray:
-    """Step-interpolate ``samples`` onto ``times`` (last value carried forward)."""
-    samples = list(samples)
-    out = np.empty(len(times), dtype=float)
-    if not samples:
-        out.fill(np.nan)
-        return out
-    sample_times = np.array([t for t, _ in samples])
-    sample_values = np.array([v for _, v in samples], dtype=float)
-    idx = np.searchsorted(sample_times, times, side="right") - 1
-    out = np.where(idx >= 0, sample_values[np.clip(idx, 0, None)], np.nan)
-    return out

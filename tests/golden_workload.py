@@ -92,7 +92,8 @@ def kernel_workload() -> Dict[str, Any]:
     Mixes time collisions, priorities, cancellations (before execution, of
     periodic tasks, and of decoys observed through ``peek``), nested
     scheduling from callbacks, and segmented execution via ``run(until=)``,
-    ``step()``, and ``run(max_events=)``.  Each executed event appends
+    single-event ``run(max_events=event_count + 1)`` calls, and
+    ``run(max_events=)``.  Each executed event appends
     ``(now, name, pending, peek)`` to a log; the digest of that log *is*
     the determinism contract.
     """
@@ -147,8 +148,8 @@ def kernel_workload() -> Dict[str, Any]:
     # Segmented execution: until-bound, single steps, max_events, then drain.
     sim.run(until=3.0)
     note("after-until")
-    sim.step()
-    sim.step()
+    sim.run(max_events=sim.event_count + 1)
+    sim.run(max_events=sim.event_count + 1)
     note("after-steps")
     sim.run(max_events=sim.event_count + 100)
     note("after-max-events")

@@ -1,7 +1,8 @@
 """Naive reference patient step: the differential oracle for ``PatientModel``.
 
 This is the physiology step as it was before the scalar fast path, kept only
-as a reference.  Every step recomputes everything with numpy:
+as a reference.  :func:`euler_pk_step` is a second, independent PK oracle: a
+sub-stepped Euler integration of the same two-compartment system.  Every step recomputes everything with numpy:
 
 * the PK propagators (matrix exponential and inverse) for the step length,
   with no per-``dt`` cache;
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.patient.model import PatientModel
 from repro.patient.pharmacodynamics import hill
-from repro.patient.pharmacokinetics import _matrix_exponential
+from repro.patient.pharmacokinetics import PKParameters, _matrix_exponential
 
 
 class ReferencePatient:
@@ -104,3 +105,26 @@ def model_state(patient: PatientModel) -> tuple:
             patient.pd.effect_site_concentration_mg_per_l,
             vitals.respiratory_rate_bpm, vitals.spo2_percent, vitals.heart_rate_bpm,
             vitals.pain_level, patient.map_model.true_map_mmhg)
+
+
+def euler_pk_step(parameters: PKParameters, central_mg: float, peripheral_mg: float,
+                  dt_min: float, infusion_rate_mg_per_min: float = 0.0,
+                  substeps: int = 100) -> tuple:
+    """``(central_mg, peripheral_mg)`` after ``dt_min`` minutes of sub-stepped Euler.
+
+    Clamped at zero like ``TwoCompartmentPK.advance``, so the two agree to
+    the Euler truncation error for fine enough ``substeps``.
+    """
+    p = parameters
+    h = dt_min / substeps
+    for _ in range(substeps):
+        d_central = (
+            infusion_rate_mg_per_min
+            - p.k10 * central_mg
+            - p.k12 * central_mg
+            + p.k21 * peripheral_mg
+        )
+        d_peripheral = p.k12 * central_mg - p.k21 * peripheral_mg
+        central_mg += h * d_central
+        peripheral_mg += h * d_peripheral
+    return max(0.0, central_mg), max(0.0, peripheral_mg)

@@ -302,22 +302,3 @@ class TestEHRStore:
         record.add_history(HistoryEntry(5.0, "observation", "late"))
         record.add_history(HistoryEntry(1.0, "observation", "early"))
         assert [entry.description for entry in record.history] == ["early", "late"]
-
-
-class TestEHRReadingIntake:
-    def test_record_reading_stores_observation_with_reading_time(self):
-        ehr = EHRStore()
-        ehr.admit("p1")
-        ehr.record_reading("p1", "spo2", Reading(96.0, True, 120.0))
-        (entry,) = ehr.get("p1").history_in_category("observation")
-        assert entry.time == 120.0
-        assert entry.description == "spo2"
-        assert entry.data == {"value": 96.0}
-
-    def test_invalid_readings_do_not_poison_baselines(self):
-        ehr = EHRStore()
-        ehr.admit("p1")
-        for index in range(5):
-            ehr.record_reading("p1", "map_mmhg", Reading(90.0 + index, True, float(index)))
-        ehr.record_reading("p1", "map_mmhg", Reading(0.0, False, 6.0))  # artefact
-        assert ehr.baseline("p1", "map_mmhg") == 92.0

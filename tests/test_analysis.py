@@ -7,9 +7,8 @@ from repro.analysis.metrics import (
     aggregate_outcomes,
     classify_alarms,
     detection_latency,
-    time_weighted_mean,
 )
-from repro.analysis.stats import bootstrap_ci, paired_difference, summarise
+from repro.analysis.stats import bootstrap_ci, summarise
 from repro.analysis.tables import Table, format_table
 
 
@@ -72,12 +71,6 @@ class TestAlarmClassification:
         assert detection_latency(10.0, [5.0, 12.0, 20.0]) == 2.0
         assert detection_latency(30.0, [5.0, 12.0]) is None
 
-    def test_time_weighted_mean(self):
-        samples = [(0.0, 1.0), (10.0, 3.0)]
-        assert time_weighted_mean(samples, end_time=20.0) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            time_weighted_mean([])
-
 
 class TestStats:
     def test_summary(self):
@@ -105,16 +98,6 @@ class TestStats:
             bootstrap_ci([], resamples=10)
         with pytest.raises(ValueError):
             bootstrap_ci([1.0], confidence=2.0)
-
-    def test_paired_difference(self):
-        result = paired_difference([10.0, 10.0], [5.0, 6.0])
-        assert result["mean_difference"] == pytest.approx(-4.5)
-        assert result["ratio_of_means"] == pytest.approx(0.55)
-        assert result["fraction_improved"] == 1.0
-
-    def test_paired_difference_length_mismatch(self):
-        with pytest.raises(ValueError):
-            paired_difference([1.0], [1.0, 2.0])
 
 
 class TestTables:

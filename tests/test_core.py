@@ -11,7 +11,6 @@ from repro.core.delays import (
     DelayComponent,
     loop_delay_budget,
     max_additional_drug_during_reaction,
-    required_threshold_margin,
 )
 from repro.core.loop import ClosedLoopPCASystem, PCASystemConfig
 from repro.core.pca import PCASafetySupervisor, SupervisorConfig, SupervisorDecision
@@ -234,10 +233,6 @@ class TestDelayBudget:
         budget = DelayBudget([DelayComponent("total", 36.0)])
         drug = max_additional_drug_during_reaction(budget, basal_rate_mg_per_hr=10.0, pending_bolus_mg=1.0)
         assert drug == pytest.approx(1.0 + 0.1)
-
-    def test_required_threshold_margin(self):
-        budget = DelayBudget([DelayComponent("total", 60.0)])
-        assert required_threshold_margin(budget, spo2_fall_rate_per_min=2.0) == pytest.approx(2.0)
 
 
 class TestCaregiver:

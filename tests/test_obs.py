@@ -1,8 +1,8 @@
 """Unit tests for the ``repro.obs`` observability package.
 
-Covers the metric types and registry, deterministic span tracing, the
-sampling profiler, NDJSON export ordering, the shard-merge semantics, and
-the structured logging facade.  Integration with the simulation layers
+Covers the metric types and registry, deterministic span tracing, NDJSON
+export ordering, the shard-merge semantics, and the structured logging
+facade.  Integration with the simulation layers
 (golden-digest invariance, CLI, campaign export) lives in
 ``test_obs_integration.py``.
 """
@@ -16,14 +16,12 @@ from repro.obs import metrics as obsm
 from repro.obs.export import (
     dump_lines,
     merge_lines,
-    merge_snapshots,
     read_snapshot,
     snapshot_lines,
     write_snapshot,
 )
 from repro.obs.logging import StructLogger
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiler import SamplingProfiler, owner_of
 from repro.obs.spans import SpanTracer, derive_id
 from repro.sim.kernel import Simulator
 
@@ -145,6 +143,19 @@ class TestEnableSwitch:
         assert obs_on.gauge("kernel.heap_peak", agg="max").value == 17
         assert obs_on.gauge("kernel.events_per_s", agg="max").value == 200.0
 
+    def test_kernel_counts_cancelled_events_discarded_by_run(self, obs_on):
+        sim = Simulator()
+        events = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
+        for index in (1, 4, 7):
+            events[index].cancel()
+        events[4].cancel()  # cancelling twice still discards one queue entry
+        sim.run()
+        assert obs_on.counter("kernel.events_cancelled").value == 3
+        assert obs_on.counter("kernel.events_fired").value == 7
+        events[0].cancel()  # already executed: nothing left to discard
+        sim.run()
+        assert obs_on.counter("kernel.events_cancelled").value == 3
+
 
 class TestSpans:
     def test_ids_are_deterministic(self):
@@ -190,46 +201,6 @@ class TestSpans:
         assert tracer.dropped == 3
 
 
-class TestProfiler:
-    def test_owner_attribution(self):
-        assert owner_of("") == "<anonymous>"
-        assert owner_of("channel:uplink:dev-a:deliver") == "channel:uplink:dev-a"
-        assert owner_of("bus:forward:vitals") == "bus"
-        assert owner_of("pump-1:_tick") == "pump-1"
-        assert owner_of("plain") == "plain"
-
-    def test_samples_every_nth_event(self):
-        profiler = SamplingProfiler(every=3)
-        sim = Simulator()
-        sim.attach_profiler(profiler)
-        for i in range(9):
-            sim.schedule(0.1 * (i + 1), lambda: None, name="worker:tick")
-        sim.run()
-        assert profiler.events_seen == 9
-        report = profiler.report()
-        assert report["worker"]["samples"] == 3.0
-        assert report["worker"]["est_total_wall_s"] == pytest.approx(
-            report["worker"]["sampled_wall_s"] * 3)
-        lines = profiler.lines()
-        assert lines[0]["type"] == "profile"
-        assert lines[0]["owner"] == "worker"
-
-    def test_every_one_samples_everything(self):
-        profiler = SamplingProfiler(every=1)
-        sim = Simulator()
-        sim.attach_profiler(profiler)
-        sim.schedule(1.0, lambda: None, name="a:x")
-        sim.schedule(2.0, lambda: None, name="b:y")
-        sim.run()
-        report = profiler.report()
-        assert report["a"]["samples"] == 1.0
-        assert report["b"]["samples"] == 1.0
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(every=0)
-
-
 class TestExport:
     def test_snapshot_line_ordering(self):
         reg = MetricsRegistry()
@@ -239,16 +210,9 @@ class TestExport:
         tracer = SpanTracer()
         with tracer.trace("s").span("phase"):
             pass
-        profiler = SamplingProfiler(every=1)
-        sim = Simulator()
-        sim.attach_profiler(profiler)
-        sim.schedule(1.0, lambda: None, name="o:t")
-        sim.run()
-        lines = snapshot_lines(registry=reg, tracer=tracer,
-                               profilers=[profiler])
+        lines = snapshot_lines(registry=reg, tracer=tracer)
         kinds = [line["type"] for line in lines]
-        assert kinds == ["meta", "counter", "gauge", "histogram", "span",
-                        "profile"]
+        assert kinds == ["meta", "counter", "gauge", "histogram", "span"]
 
     def test_dump_is_sorted_compact_ndjson(self):
         text = dump_lines([{"b": 1, "a": 2, "type": "meta"}])
@@ -301,31 +265,18 @@ class TestMerge:
             merge_lines([[dict(hist, bounds=[1.0])],
                          [dict(hist, bounds=[2.0])]])
 
-    def test_spans_concatenate_and_profiles_sum(self):
+    def test_spans_concatenate(self):
         span = {"type": "span", "trace_id": "t", "span_id": "s1",
                 "parent_id": "", "name": "p", "clock": "sim",
                 "start": 0.0, "end": 1.0}
-        profile = {"type": "profile", "owner": "o", "samples": 2,
-                   "sampled_wall_s": 0.5, "every": 64}
-        merged = merge_lines([[span, profile],
-                              [dict(span, span_id="s2"), dict(profile)]])
+        merged = merge_lines([[span], [dict(span, span_id="s2")]])
         spans = [line for line in merged if line["type"] == "span"]
-        profiles = [line for line in merged if line["type"] == "profile"]
         assert {s["span_id"] for s in spans} == {"s1", "s2"}
-        assert profiles[0]["samples"] == 4
-        assert profiles[0]["sampled_wall_s"] == pytest.approx(1.0)
 
-    def test_merge_snapshot_files_in_sorted_order(self, tmp_path):
-        for name, value in (("b.ndjson", 2.0), ("a.ndjson", 1.0)):
-            (tmp_path / name).write_text(dump_lines(
-                [{"type": "gauge", "name": "g", "value": value,
-                  "agg": "last"}]), encoding="utf-8")
-        out = tmp_path / "merged.ndjson"
-        merged = merge_snapshots([tmp_path / "b.ndjson", tmp_path / "a.ndjson"],
-                                 out=out)
-        # Sorted path order: a.ndjson merges first, b.ndjson last -> 2.0.
-        assert merged[-1]["value"] == 2.0
-        assert read_snapshot(out) == merged
+    def test_unknown_line_type_rejected(self):
+        profile = {"type": "profile", "owner": "o", "samples": 2}
+        with pytest.raises(ValueError):
+            merge_lines([[profile], [dict(profile)]])
 
 
 class TestStructLogger:

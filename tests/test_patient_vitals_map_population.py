@@ -222,9 +222,3 @@ class TestPatientPopulation:
     def test_fraction_arguments_validated(self, population):
         with pytest.raises(ValueError):
             population.sample(5, sensitive_fraction=1.5)
-
-    def test_cohorts_partition_population(self, population):
-        cohorts = population.sample_cohorts(60)
-        total = sum(len(group) for group in cohorts.values())
-        assert total == 60
-        assert set(cohorts) == {"typical", "opioid_sensitive", "athlete"}

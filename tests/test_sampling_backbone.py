@@ -58,7 +58,7 @@ class TestBatchedTraceWriter:
         batch.append(2.0, 96.0)
         # No explicit flush: every query must still see both samples.
         assert trace.last("dev:spo2") == (2.0, 96.0)
-        assert trace.value_at("dev:spo2", 1.5) == 97.0
+        assert list(trace.times("dev:spo2")) == [1.0, 2.0]
         assert list(trace.values("dev:spo2")) == [97.0, 96.0]
         assert len(trace) == 2
         assert writer.pending == 0

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from golden_workload import GOLDEN_PATH, kernel_workload, pca_system_probe
-from repro.sim.kernel import Process, SimulationError, Simulator, build_simulator
+from repro.sim.kernel import Process, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -127,10 +127,13 @@ class TestScheduling:
         fired = []
         simulator.schedule(1.0, lambda: fired.append("a"))
         simulator.schedule(2.0, lambda: fired.append("b"))
-        assert simulator.step() is True
+        simulator.run(max_events=simulator.event_count + 1)
         assert fired == ["a"]
-        assert simulator.step() is True
-        assert simulator.step() is False
+        assert simulator.now == 1.0
+        simulator.run(max_events=simulator.event_count + 1)
+        assert fired == ["a", "b"]
+        simulator.run(max_events=simulator.event_count + 1)  # queue empty
+        assert simulator.event_count == 2
 
     def test_peek_returns_next_event_time(self, simulator):
         simulator.schedule(4.0, lambda: None)
@@ -171,7 +174,7 @@ class TestKernelEdgeCases:
     def test_event_count_includes_step_executions(self, simulator):
         simulator.schedule(1.0, lambda: None)
         simulator.schedule(2.0, lambda: None)
-        simulator.step()
+        simulator.run(max_events=simulator.event_count + 1)
         simulator.run()
         assert simulator.event_count == 2
 
@@ -290,13 +293,13 @@ class TestQueueIntrospection:
         events[0].cancel()
         events[3].cancel()
         assert simulator.pending() == 3
-        events[3].cancel()  # double-cancel must not double-decrement
+        events[3].cancel()  # double-cancel must not double-count
         assert simulator.pending() == 3
 
     def test_cancel_after_execution_does_not_corrupt_pending(self, simulator):
         first = simulator.schedule(1.0, lambda: None)
         simulator.schedule(2.0, lambda: None)
-        simulator.step()
+        simulator.run(max_events=simulator.event_count + 1)
         first.cancel()  # already executed: a no-op for the queue accounting
         assert simulator.pending() == 1
 
@@ -343,14 +346,3 @@ class TestGoldenDeterminism:
         assert probe["event_count"] == golden["pca_system"]["event_count"]
         assert probe["trace_digest"] == golden["pca_system"]["trace_digest"]
         assert probe["record_digest"] == golden["pca_system"]["record_digest"]
-
-
-class TestFactory:
-    def test_build_simulator_default(self):
-        assert build_simulator().now == 0.0
-
-    def test_build_simulator_with_start_time(self):
-        assert build_simulator({"start_time": 3.0}).now == 3.0
-
-    def test_build_simulator_ignores_unknown_keys(self):
-        assert build_simulator({"whatever": 1}).now == 0.0

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.sim.channel import Channel, ChannelConfig
-from repro.sim.faults import FaultInjector, FaultSpec, communication_failure_campaign
+from repro.sim.faults import FaultInjector, FaultSpec
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
-from repro.sim.trace import TraceRecorder, resample
+from repro.sim.trace import TraceRecorder
 
 
 class TestTraceRecorder:
@@ -23,13 +23,10 @@ class TestTraceRecorder:
         trace.record(0.0, "a", 1)
         assert trace.signals() == ["a", "b"]
 
-    def test_last_and_value_at(self, trace):
+    def test_last(self, trace):
         trace.record(0.0, "hr", 70)
         trace.record(5.0, "hr", 80)
         assert trace.last("hr") == (5.0, 80)
-        assert trace.value_at("hr", 3.0) == 70
-        assert trace.value_at("hr", 6.0) == 80
-        assert trace.value_at("hr", -1.0) is None
 
     def test_events_and_counts(self, trace):
         trace.event(1.0, "alarm", "low_spo2")
@@ -77,19 +74,6 @@ class TestTraceRecorder:
         trace.record(0.0, "x", 1)
         trace.event(1.0, "e")
         assert len(trace) == 2
-
-    def test_resample_step_interpolation(self):
-        samples = [(0.0, 1.0), (10.0, 2.0)]
-        values = resample(samples, np.array([0.0, 5.0, 10.0, 15.0]))
-        assert list(values) == [1.0, 1.0, 2.0, 2.0]
-
-    def test_resample_before_first_sample_is_nan(self):
-        values = resample([(5.0, 1.0)], np.array([0.0, 6.0]))
-        assert np.isnan(values[0]) and values[1] == 1.0
-
-    def test_resample_empty_samples(self):
-        values = resample([], np.array([0.0, 1.0]))
-        assert np.isnan(values).all()
 
     def test_record_many_bulk_append(self, trace):
         trace.record(0.0, "spo2", 99.0)
@@ -153,7 +137,6 @@ class TestTraceRecorder:
         assert trace.times("nope").size == 0
         assert trace.values("nope").size == 0
         assert trace.last("nope") is None
-        assert trace.value_at("nope", 1.0) is None
 
 
 class TestRandomStreams:
@@ -417,16 +400,3 @@ class TestFaultInjectorMetrics:
             obsm.registry().reset()
             if not was_enabled:
                 obsm.disable()
-
-
-class TestCommunicationFailureCampaign:
-    def test_communication_failure_campaign_builder(self):
-        specs = communication_failure_campaign("link", first_start=10.0, outage_duration=5.0,
-                                                period=100.0, count=3)
-        assert len(specs) == 3
-        assert specs[1].start == 110.0
-        assert all(spec.kind == "channel_outage" for spec in specs)
-
-    def test_campaign_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            communication_failure_campaign("link", 0.0, 1.0, 10.0, -1)

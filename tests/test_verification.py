@@ -101,12 +101,6 @@ class TestTransitionSystem:
         state = system.initial_states[0]
         assert system.successors(state) == [(state, "stutter")]
 
-    def test_random_run_length(self):
-        import numpy as np
-        system = counter_system(3)
-        run = system.random_run(10, np.random.default_rng(0))
-        assert len(run) == 11
-
     def test_compose_disjoint_variables_required(self):
         a = counter_system(1, "a")
         b = counter_system(1, "b")
