@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.readings import Reading
-from repro.sim.kernel import Process
-from repro.sim.sampler import BatchedTraceWriter, PeriodicSampler
+from repro.sim.kernel import PeriodicTask, Process
 from repro.sim.trace import TraceRecorder
 
 
@@ -108,37 +107,11 @@ class MedicalDevice(Process):
         self.rejected_commands: List[Tuple[str, str]] = []
         self.state_history: List[Tuple[float, DeviceState]] = []
         self.crashed = False
+        self.trace = trace
+        # Full trace names ("<device_id>:<kind>"), built once so no sample
+        # or event formats a string.
         self._event_names: Dict[str, str] = {}
-        self._declared_signals: List[str] = []
-        self.trace = trace  # property: builds the batched writer
-
-    @property
-    def trace(self) -> Optional[TraceRecorder]:
-        return self._trace
-
-    @trace.setter
-    def trace(self, trace: Optional[TraceRecorder]) -> None:
-        # Fixed-rate sampling backbone: signal samples go through a batched
-        # writer whose full names are precomputed at declare time, and event
-        # names are cached — no per-sample f-strings anywhere.  Assigning
-        # `trace` (at construction or later) rebuilds the writer so a trace
-        # attached after __init__ records signals exactly like one passed in:
-        # the old writer is flushed and unregistered from its recorder, and
-        # any live sampling loops are re-pointed at the new writer.
-        old_writer = getattr(self, "_writer", None)
-        if old_writer is not None:
-            old_writer.detach()
-        self._trace = trace
-        if trace is None:
-            self._writer: Optional[BatchedTraceWriter] = None
-        else:
-            self._writer = BatchedTraceWriter(
-                trace, prefix=self.descriptor.device_id, source=self.name)
-            for signal in self._declared_signals:
-                self._writer.declare(signal)
-        for task in self._tasks:
-            if isinstance(task, PeriodicSampler):
-                task.writer = self._writer
+        self._signal_names: Dict[str, str] = {}
 
     # --------------------------------------------------------------- states
     def transition(self, new_state: DeviceState) -> bool:
@@ -211,8 +184,8 @@ class MedicalDevice(Process):
         now = self.now
         if self._publisher is not None:
             self._publisher(topic, Reading(value, valid, now))
-        if record is not None and self._writer is not None:
-            self._writer.record(now, record, value)
+        if record is not None and self.trace is not None:
+            self.trace.record(now, self._signal_names[record], value)
 
     def register_command(self, command: str, handler: Callable[[Dict[str, Any]], Any]) -> None:
         if not self.descriptor.accepts(command):
@@ -239,28 +212,24 @@ class MedicalDevice(Process):
         return handler(parameters)
 
     # ---------------------------------------------------------------- tracing
-    def sample_every(self, period: float, callback: Callable[[], None]) -> PeriodicSampler:
-        """Run ``callback`` every ``period`` seconds on the sampling backbone.
+    def sample_every(self, period: float, callback: Callable[[], None]) -> PeriodicTask:
+        """Run ``callback`` every ``period`` seconds, first one period from now.
 
-        Same scheduling pattern as :meth:`Process.every` (so kernel event
-        counts and ordering are unchanged), but the returned sampler also
-        flushes this device's batched trace samples through ``record_many``.
-        Registered with :meth:`cancel_all`, so :meth:`crash` stops it.
+        The task's events are named ``"<process name>:sampler"``.  It is
+        registered with :meth:`cancel_all`, so :meth:`crash` stops it.
         """
-        sampler = PeriodicSampler(
-            self.simulator, period, callback,
-            writer=self._writer, name=f"{self.name}:sampler",
-        )
-        sampler.start(self.simulator.now + period)
-        self._tasks.append(sampler)
-        return sampler
+        task = self.simulator.call_every(period, callback, name=f"{self.name}:sampler")
+        self._tasks.append(task)
+        return task
 
     def _declare_signals(self, *signals: str) -> None:
-        """Precompute the full trace names of ``signals`` (attach-time cost)."""
-        self._declared_signals.extend(signals)
-        if self._writer is not None:
-            for signal in signals:
-                self._writer.declare(signal)
+        """Precompute the full trace names of ``signals``.
+
+        Every signal a device records must be declared first.
+        """
+        device_id = self.descriptor.device_id
+        for signal in signals:
+            self._signal_names[signal] = f"{device_id}:{signal}"
 
     def _declare_events(self, *kinds: str) -> None:
         """Pre-warm the event-name cache for the device's known event kinds."""
@@ -276,9 +245,8 @@ class MedicalDevice(Process):
             self.trace.event(self.now, name, value, source=self.name)
 
     def _record(self, signal: str, value: Any) -> None:
-        writer = self._writer
-        if writer is not None and self._simulator is not None:
-            writer.record(self._simulator.now, signal, value)
+        if self.trace is not None and self._simulator is not None:
+            self.trace.record(self._simulator.now, self._signal_names[signal], value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<{type(self).__name__} {self.descriptor.device_id!r} {self.state.value}>"

@@ -167,9 +167,6 @@ LATENCY_BOUNDS_S = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
 #: Per-run wall-time bucket edges in seconds (a campaign run spans ms..min).
 RUN_WALL_BOUNDS_S = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0,
                      30.0, 60.0, 120.0, 300.0)
-#: Trace-flush batch-size bucket edges (samples per flush).
-FLUSH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
-                     512.0, 1024.0)
 
 
 # ------------------------------------------------------------------ registry
@@ -309,17 +306,6 @@ class BusInstruments:
         self.commands = reg.counter("bus.commands")
 
 
-class SamplerInstruments:
-    """Cached sampling-backbone metrics (trace batch flushes)."""
-
-    __slots__ = ("flushes", "flushed_samples", "flush_size")
-
-    def __init__(self, reg: MetricsRegistry) -> None:
-        self.flushes = reg.counter("sampler.flushes")
-        self.flushed_samples = reg.counter("sampler.flushed_samples")
-        self.flush_size = reg.histogram("sampler.flush_size", FLUSH_SIZE_BOUNDS)
-
-
 class CampaignInstruments:
     """Cached campaign-engine metrics (per-run and resilience accounting).
 
@@ -353,10 +339,6 @@ def channel_instruments() -> Optional[ChannelInstruments]:
 
 def bus_instruments() -> Optional[BusInstruments]:
     return BusInstruments(_DEFAULT_REGISTRY) if _ENABLED else None
-
-
-def sampler_instruments() -> Optional[SamplerInstruments]:
-    return SamplerInstruments(_DEFAULT_REGISTRY) if _ENABLED else None
 
 
 def campaign_instruments() -> Optional[CampaignInstruments]:

@@ -23,7 +23,6 @@ from repro.patient.pharmacokinetics import PKParameters, TwoCompartmentPK
 from repro.patient.population import DEFAULT_PATIENT, PatientParameters
 from repro.patient.vitals import VitalSigns, VitalSignsModel, VitalSignsParameters
 from repro.sim.kernel import Process
-from repro.sim.sampler import BatchedTraceWriter, PeriodicSampler
 from repro.sim.trace import TraceRecorder
 
 SECONDS_PER_MINUTE = 60.0
@@ -58,51 +57,23 @@ class PatientModel(Process):
         self._last_update_time: Optional[float] = None
         self._respiratory_failure_onset: Optional[float] = None
         self.total_drug_delivered_mg = 0.0
-        self._failure_event_name = f"{parameters.patient_id}:respiratory_failure"
-        self.trace = trace  # property: builds the batched writer
-
-    @property
-    def trace(self) -> Optional[TraceRecorder]:
-        return self._trace
-
-    @trace.setter
-    def trace(self, trace: Optional[TraceRecorder]) -> None:
-        # Sampling backbone: the seven physiological signals are declared
-        # once per trace attachment, so recording a ground-truth row is
-        # fourteen list appends with no name formatting, flushed in batches
-        # via record_many.  Assigning `trace` after construction records
-        # exactly like a trace passed to __init__: the old writer is flushed
-        # and unregistered, and live sampling loops re-pointed.
-        old_writer = getattr(self, "_writer", None)
-        if old_writer is not None:
-            old_writer.detach()
-        self._trace = trace
-        if trace is None:
-            self._writer: Optional[BatchedTraceWriter] = None
-        else:
-            writer = BatchedTraceWriter(trace, prefix=self.parameters.patient_id,
-                                        source=self.name)
-            self._writer = writer
-            self._sig_plasma = writer.declare("plasma_mg_per_l")
-            self._sig_effect_site = writer.declare("effect_site_mg_per_l")
-            self._sig_spo2 = writer.declare("spo2")
-            self._sig_heart_rate = writer.declare("heart_rate")
-            self._sig_respiratory_rate = writer.declare("respiratory_rate")
-            self._sig_pain = writer.declare("pain")
-            self._sig_true_map = writer.declare("true_map")
-        for task in self._tasks:
-            if isinstance(task, PeriodicSampler):
-                task.writer = self._writer
+        self.trace = trace
+        # Full trace names, built once so recording a row formats nothing.
+        prefix = parameters.patient_id
+        self._failure_event_name = f"{prefix}:respiratory_failure"
+        self._sig_plasma = f"{prefix}:plasma_mg_per_l"
+        self._sig_effect_site = f"{prefix}:effect_site_mg_per_l"
+        self._sig_spo2 = f"{prefix}:spo2"
+        self._sig_heart_rate = f"{prefix}:heart_rate"
+        self._sig_respiratory_rate = f"{prefix}:respiratory_rate"
+        self._sig_pain = f"{prefix}:pain"
+        self._sig_true_map = f"{prefix}:true_map"
 
     # --------------------------------------------------------------- process
     def start(self) -> None:
         self._last_update_time = self.now
-        sampler = PeriodicSampler(
-            self.simulator, self.update_period_s, self._advance,
-            writer=self._writer, name=f"{self.name}:sampler",
-        )
-        sampler.start(self.now + self.update_period_s)
-        self._tasks.append(sampler)
+        self._tasks.append(self.simulator.call_every(
+            self.update_period_s, self._advance, name=f"{self.name}:sampler"))
 
     def _advance(self) -> None:
         now = self.now
@@ -123,18 +94,20 @@ class PatientModel(Process):
         vitals = self.vitals_model.advance(dt_min, drive, analgesia)
         self.map_model.advance(dt_min)
         if record_time is not None and self.trace is not None:
-            self._record(record_time, plasma, effect_site, vitals)
+            self._record(self.trace, record_time, plasma, effect_site, vitals)
         self._update_failure_tracking(record_time)
         return vitals
 
-    def _record(self, time: float, plasma: float, effect_site: float, vitals: VitalSigns) -> None:
-        self._sig_plasma.append(time, plasma)
-        self._sig_effect_site.append(time, effect_site)
-        self._sig_spo2.append(time, vitals.spo2_percent)
-        self._sig_heart_rate.append(time, vitals.heart_rate_bpm)
-        self._sig_respiratory_rate.append(time, vitals.respiratory_rate_bpm)
-        self._sig_pain.append(time, vitals.pain_level)
-        self._sig_true_map.append(time, self.map_model.true_map_mmhg)
+    def _record(self, trace: TraceRecorder, time: float, plasma: float, effect_site: float,
+                vitals: VitalSigns) -> None:
+        record = trace.record
+        record(time, self._sig_plasma, plasma)
+        record(time, self._sig_effect_site, effect_site)
+        record(time, self._sig_spo2, vitals.spo2_percent)
+        record(time, self._sig_heart_rate, vitals.heart_rate_bpm)
+        record(time, self._sig_respiratory_rate, vitals.respiratory_rate_bpm)
+        record(time, self._sig_pain, vitals.pain_level)
+        record(time, self._sig_true_map, self.map_model.true_map_mmhg)
 
     def _update_failure_tracking(self, time: Optional[float]) -> None:
         in_failure = self.vitals_model.is_in_respiratory_failure()

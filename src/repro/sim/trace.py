@@ -11,16 +11,15 @@ two list appends.  The numpy conversions behind :meth:`times` /
 code calls them repeatedly per run, and rebuilding the arrays each call
 dominated metric collection on large traces.
 
-Batched producers (the :mod:`repro.sim.sampler` backbone) register a flush
-hook via :meth:`TraceRecorder.register_pending`; every signal query drains
-those hooks first, so readers always observe a complete trace regardless of
-when a producer last flushed its batches.
+Producers write every sample straight through :meth:`TraceRecorder.record`
+under a full signal name (``"<producer>:<signal>"``) they precompute once, so
+a query always sees every sample recorded so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,10 +44,6 @@ class _SignalBuffer:
         self.values: List[Any] = []
         self._times_arr: Optional[np.ndarray] = None
         self._values_arr: Optional[np.ndarray] = None
-
-    def invalidate(self) -> None:
-        self._times_arr = None
-        self._values_arr = None
 
     def times_array(self) -> np.ndarray:
         arr = self._times_arr
@@ -77,31 +72,9 @@ class TraceRecorder:
     def __init__(self) -> None:
         self._signals: Dict[str, _SignalBuffer] = {}
         self._events: List[TracePoint] = []
-        self._pending_flushes: List[Callable[[], None]] = []
-
-    # --------------------------------------------------------- batched writers
-    def register_pending(self, flush: Callable[[], None]) -> None:
-        """Register a batched producer's flush hook (the read barrier).
-
-        Queries call every registered hook before touching signal data, so a
-        producer may hold samples in local batches arbitrarily long without
-        readers ever seeing a stale trace.
-        """
-        self._pending_flushes.append(flush)
-
-    def unregister_pending(self, flush: Callable[[], None]) -> None:
-        """Remove a previously registered flush hook (writer replacement)."""
-        try:
-            self._pending_flushes.remove(flush)
-        except ValueError:
-            pass
-
-    def _drain(self) -> None:
-        for flush in self._pending_flushes:
-            flush()
 
     # -------------------------------------------------------------- recording
-    def record(self, time: float, signal: str, value: Any, source: str = "") -> None:  # repro-lint: hot
+    def record(self, time: float, signal: str, value: Any) -> None:  # repro-lint: hot
         """Append a sample of ``signal`` at ``time``."""
         buffer = self._signals.get(signal)
         if buffer is None:
@@ -111,45 +84,16 @@ class TraceRecorder:
         buffer._times_arr = None
         buffer._values_arr = None
 
-    # repro-lint: hot
-    def record_many(
-        self,
-        signal: str,
-        times: Sequence[float],
-        values: Sequence[Any],
-        source: str = "",
-    ) -> None:
-        """Bulk-append samples of ``signal`` (periodic samplers, resamplers)."""
-        if len(times) != len(values):
-            raise ValueError(
-                f"record_many needs equal-length sequences, got "
-                f"{len(times)} times and {len(values)} values"
-            )
-        if len(times) == 0:  # not `not times`: numpy arrays reject bool()
-            return
-        if isinstance(values, np.ndarray):
-            values = values.tolist()  # np scalars would break to_dict() JSON
-        buffer = self._signals.get(signal)
-        if buffer is None:
-            buffer = self._signals[signal] = _SignalBuffer()
-        # map(float, ...) returns the identical objects for exact floats, so
-        # batched and unbatched recording produce the same trace bytes.
-        buffer.times.extend(map(float, times))
-        buffer.values.extend(values)
-        buffer.invalidate()
-
     def event(self, time: float, signal: str, value: Any = None, source: str = "") -> None:
         """Record a discrete event (alarm raised, pump stopped, ...)."""
         self._events.append(TracePoint(time=float(time), signal=signal, value=value, source=source))
 
     # ---------------------------------------------------------------- queries
     def signals(self) -> List[str]:
-        self._drain()
         return sorted(self._signals)
 
     def samples(self, signal: str) -> List[Tuple[float, Any]]:
         """All samples of ``signal`` in recording order."""
-        self._drain()
         buffer = self._signals.get(signal)
         if buffer is None:
             return []
@@ -157,7 +101,6 @@ class TraceRecorder:
 
     def times(self, signal: str) -> np.ndarray:
         """Sample times as a float array (cached; treat as read-only)."""
-        self._drain()
         buffer = self._signals.get(signal)
         if buffer is None:
             return _EMPTY
@@ -165,18 +108,10 @@ class TraceRecorder:
 
     def values(self, signal: str) -> np.ndarray:
         """Sample values as a float array (cached; treat as read-only)."""
-        self._drain()
         buffer = self._signals.get(signal)
         if buffer is None:
             return _EMPTY
         return buffer.values_array()
-
-    def last(self, signal: str) -> Optional[Tuple[float, Any]]:
-        self._drain()
-        buffer = self._signals.get(signal)
-        if buffer is None or not buffer.times:
-            return None
-        return (buffer.times[-1], buffer.values[-1])
 
     def events(self, signal: Optional[str] = None) -> List[TracePoint]:
         if signal is None:
@@ -186,23 +121,9 @@ class TraceRecorder:
     def count_events(self, signal: str) -> int:
         return sum(1 for e in self._events if e.signal == signal)
 
-    def first_event_time(self, signal: str) -> Optional[float]:
-        for e in self._events:
-            if e.signal == signal:
-                return e.time
-        return None
-
     # -------------------------------------------------------------- summaries
-    def duration_above(self, signal: str, threshold: float) -> float:
-        """Total simulated time the (step-interpolated) signal exceeds ``threshold``."""
-        return self._duration_where(signal, lambda v: v > threshold)
-
     def duration_below(self, signal: str, threshold: float) -> float:
         """Total simulated time the (step-interpolated) signal is below ``threshold``."""
-        return self._duration_where(signal, lambda v: v < threshold)
-
-    def _duration_where(self, signal: str, predicate) -> float:
-        self._drain()
         buffer = self._signals.get(signal)
         if buffer is None or len(buffer.times) < 2:
             return 0.0
@@ -212,33 +133,14 @@ class TraceRecorder:
         # Sequential accumulation on purpose: a vectorised sum would change
         # rounding and break byte-identical run records across versions.
         for i in range(len(times) - 1):
-            if predicate(values[i]):
+            if values[i] < threshold:
                 total += times[i + 1] - times[i]
         return total
-
-    def max(self, signal: str) -> float:
-        values = self.values(signal)
-        if values.size == 0:
-            raise KeyError(f"no samples recorded for signal {signal!r}")
-        return float(values.max())
-
-    def min(self, signal: str) -> float:
-        values = self.values(signal)
-        if values.size == 0:
-            raise KeyError(f"no samples recorded for signal {signal!r}")
-        return float(values.min())
-
-    def mean(self, signal: str) -> float:
-        values = self.values(signal)
-        if values.size == 0:
-            raise KeyError(f"no samples recorded for signal {signal!r}")
-        return float(values.mean())
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialisable snapshot (used by EXPERIMENTS.md generation and tests)."""
         from repro.readings import Reading  # local: trace is below readings' consumers
 
-        self._drain()
         return {
             "signals": {
                 name: list(zip(buffer.times, buffer.values))
@@ -258,23 +160,5 @@ class TraceRecorder:
             ],
         }
 
-    def merge(self, other: "TraceRecorder") -> None:
-        """Fold another recorder's data into this one (used by scenario composition)."""
-        self._drain()
-        other._drain()
-        for name, other_buffer in other._signals.items():
-            buffer = self._signals.get(name)
-            if buffer is None:
-                buffer = self._signals[name] = _SignalBuffer()
-            combined = list(zip(buffer.times, buffer.values))
-            combined.extend(zip(other_buffer.times, other_buffer.values))
-            combined.sort(key=lambda sample: sample[0])
-            buffer.times = [t for t, _ in combined]
-            buffer.values = [v for _, v in combined]
-            buffer.invalidate()
-        self._events.extend(other._events)
-        self._events.sort(key=lambda e: e.time)
-
     def __len__(self) -> int:
-        self._drain()
         return sum(len(buffer.times) for buffer in self._signals.values()) + len(self._events)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.devices.base import DeviceDescriptor, MedicalDevice
 from repro.devices.bed import HospitalBed
 from repro.devices.bp_monitor import BloodPressureMonitor, BloodPressureMonitorConfig
 from repro.devices.capnograph import Capnograph, CapnographConfig
-from repro.devices.pulse_oximeter import PulseOximeter, PulseOximeterConfig
+from repro.devices.pulse_oximeter import PulseOximeter, PulseOximeterConfig, _RollingMean
 from repro.patient.model import PatientModel
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.trace import TraceRecorder
 
 
 @pytest.fixture
@@ -212,3 +214,109 @@ class TestBloodPressureMonitorAndBed:
         monitor.handle_command("rezero")
         simulator.run(until=20.0)
         assert published[-1] == pytest.approx(90.0, abs=3.0)
+
+
+class TestRollingMean:
+    def test_empty_window_is_nan(self):
+        window = _RollingMean(4)
+        assert np.isnan(window.mean)
+        assert len(window) == 0
+
+    def test_clear_and_bias(self):
+        window = _RollingMean(3)
+        for value in (1.0, 2.0, 3.0):
+            window.append(value)
+        window.bias(10.0)
+        assert window.mean == 12.0  # (11 + 12 + 13) / 3, exactly
+        window.clear()
+        assert np.isnan(window.mean)
+
+
+class TestTracing:
+    def _oximeter(self, trace=None):
+        simulator = Simulator()
+        patient = PatientModel()
+        oximeter = PulseOximeter("ox-1", patient,
+                                 PulseOximeterConfig(sample_period_s=2.0),
+                                 trace=trace)
+        simulator.register(patient)
+        simulator.register(oximeter)
+        return simulator, oximeter
+
+    def _reference_samples(self, until):
+        """spo2 samples of an oximeter traced from construction."""
+        trace = TraceRecorder()
+        simulator, _ = self._oximeter(trace)
+        simulator.run(until=until)
+        return trace.samples("ox-1:spo2_reading")
+
+    def test_oximeter_records_every_sample(self):
+        trace = TraceRecorder()
+        simulator, oximeter = self._oximeter(trace)
+        simulator.run(until=30.0)
+        assert trace.signals() == ["ox-1:heart_rate_reading", "ox-1:spo2_reading"]
+        times = trace.times("ox-1:spo2_reading")
+        assert len(times) == 15
+        assert list(times[:3]) == [2.0, 4.0, 6.0]
+        assert list(trace.values("ox-1:spo2_reading")) == pytest.approx(
+            [oximeter.current_spo2] * 15)  # flat patient => flat readings
+        assert len(trace.times("ox-1:heart_rate_reading")) == 15
+
+    def test_sample_every_matches_call_every_schedule(self):
+        # The device loop keeps the event name, times and event count of a
+        # plain call_every loop with the same period.
+        simulator, reference = Simulator(), Simulator()
+        device = MedicalDevice(DeviceDescriptor(device_id="dev", device_type="sensor"))
+        simulator.register(device)
+        times, reference_times = [], []
+        task = device.sample_every(0.5, lambda: times.append(simulator.now))
+        reference.call_every(0.5, lambda: reference_times.append(reference.now))
+        simulator.run(until=10.0)
+        reference.run(until=10.0)
+        assert task.name == "device:dev:sampler"
+        assert len(times) == 20
+        assert times == reference_times
+        assert simulator.event_count == reference.event_count
+
+    def test_sample_every_rejects_bad_period(self):
+        simulator = Simulator()
+        device = MedicalDevice(DeviceDescriptor(device_id="dev", device_type="sensor"))
+        simulator.register(device)
+        with pytest.raises(SimulationError):
+            device.sample_every(0.0, lambda: None)
+
+    def test_crash_stops_sampling_and_keeps_samples(self):
+        trace = TraceRecorder()
+        simulator, oximeter = self._oximeter(trace)
+        simulator.run(until=10.0)
+        taken = trace.samples("ox-1:spo2_reading")
+        assert len(taken) == 5
+        oximeter.crash()
+        simulator.run(until=20.0)
+        assert trace.samples("ox-1:spo2_reading") == taken
+
+    def test_trace_attached_after_construction_records_signals(self):
+        simulator, oximeter = self._oximeter()
+        trace = TraceRecorder()
+        oximeter.trace = trace
+        simulator.run(until=10.0)
+        assert len(trace.times("ox-1:spo2_reading")) == 5
+        assert trace.samples("ox-1:spo2_reading") == self._reference_samples(10.0)
+
+    def test_trace_attached_after_start_records_signals(self):
+        simulator, oximeter = self._oximeter()
+        simulator.run(until=10.0)
+        trace = TraceRecorder()
+        oximeter.trace = trace
+        simulator.run(until=30.0)
+        assert list(trace.times("ox-1:spo2_reading")) == [12.0 + 2.0 * i for i in range(10)]
+        assert trace.samples("ox-1:spo2_reading") == self._reference_samples(30.0)[5:]
+
+    def test_declared_but_never_sampled_signal_stays_absent(self):
+        # Declaring a signal creates no trace buffer: before the first
+        # sample, signals() and to_dict() look as if it never existed.
+        trace = TraceRecorder()
+        simulator, _ = self._oximeter(trace)
+        simulator.run(until=1.0)
+        assert trace.signals() == []
+        assert trace.to_dict()["signals"] == {}

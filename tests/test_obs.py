@@ -121,7 +121,6 @@ class TestEnableSwitch:
             assert obsm.kernel_instruments() is None
             assert obsm.channel_instruments() is None
             assert obsm.bus_instruments() is None
-            assert obsm.sampler_instruments() is None
             assert obsm.campaign_instruments() is None
             assert Simulator()._metrics is None
         finally:

@@ -277,8 +277,7 @@ class TestCliMetricsOut:
         # Sim-deterministic totals are identical however the work shards.
         for name in ("kernel.events_fired", "kernel.sim_seconds_total",
                      "channel.delivered", "channel.sent", "bus.published",
-                     "bus.forwarded", "campaign.runs",
-                     "sampler.flushed_samples"):
+                     "bus.forwarded", "campaign.runs"):
             assert sharded[name]["value"] == serial[name]["value"], name
         assert sharded["campaign.workers"]["value"] == 2.0
         # Shard directory is cleaned up after the merge.

@@ -95,3 +95,32 @@ class TestInSimulation:
         simulator.run(until=30 * 60.0)
         assert patient.effect_site_concentration_mg_per_l > 0.0
         assert patient.vital_signs.respiratory_rate_bpm < 14.0
+
+    def test_every_signal_recorded(self, registered_patient, trace):
+        simulator, patient = registered_patient
+        simulator.run(until=60.0)
+        prefix = patient.parameters.patient_id
+        signals = ("plasma_mg_per_l", "effect_site_mg_per_l", "spo2",
+                   "heart_rate", "respiratory_rate", "pain", "true_map")
+        assert trace.signals() == sorted(f"{prefix}:{signal}" for signal in signals)
+        for signal in signals:
+            assert list(trace.times(f"{prefix}:{signal}")) == [5.0 * i for i in range(1, 13)]
+
+    def test_trace_attached_after_construction_records_signals(self, trace):
+        simulator = Simulator()
+        patient = PatientModel(update_period_s=5.0)
+        patient.trace = trace
+        simulator.register(patient)
+        simulator.run(until=10.0)
+        assert len(trace.times(f"{patient.parameters.patient_id}:spo2")) == 2
+
+    def test_trace_attached_after_start_records_signals(self, trace):
+        simulator = Simulator()
+        patient = PatientModel(update_period_s=5.0)
+        simulator.register(patient)
+        simulator.run(until=10.0)
+        patient.trace = trace
+        simulator.run(until=30.0)
+        prefix = patient.parameters.patient_id
+        assert list(trace.times(f"{prefix}:spo2")) == [15.0, 20.0, 25.0, 30.0]
+        assert len(trace.times(f"{prefix}:true_map")) == 4

@@ -7,7 +7,6 @@ from repro.sim.channel import Channel, ChannelConfig
 from repro.sim.faults import FaultInjector, FaultSpec
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
-from repro.sim.trace import TraceRecorder
 
 
 class TestTraceRecorder:
@@ -23,45 +22,20 @@ class TestTraceRecorder:
         trace.record(0.0, "a", 1)
         assert trace.signals() == ["a", "b"]
 
-    def test_last(self, trace):
-        trace.record(0.0, "hr", 70)
-        trace.record(5.0, "hr", 80)
-        assert trace.last("hr") == (5.0, 80)
-
     def test_events_and_counts(self, trace):
         trace.event(1.0, "alarm", "low_spo2")
         trace.event(2.0, "alarm", "low_spo2")
         trace.event(3.0, "stop")
         assert trace.count_events("alarm") == 2
-        assert trace.first_event_time("alarm") == 1.0
-        assert trace.first_event_time("missing") is None
         assert len(trace.events()) == 3
 
-    def test_duration_below_and_above(self, trace):
+    def test_duration_below(self, trace):
         for t, v in [(0.0, 95.0), (10.0, 85.0), (20.0, 85.0), (30.0, 95.0)]:
             trace.record(t, "spo2", v)
         assert trace.duration_below("spo2", 90.0) == pytest.approx(20.0)
-        assert trace.duration_above("spo2", 90.0) == pytest.approx(10.0)
-
-    def test_min_max_mean(self, trace):
-        for t, v in enumerate([3.0, 1.0, 2.0]):
-            trace.record(float(t), "x", v)
-        assert trace.max("x") == 3.0
-        assert trace.min("x") == 1.0
-        assert trace.mean("x") == pytest.approx(2.0)
-
-    def test_statistics_on_missing_signal_raise(self, trace):
-        with pytest.raises(KeyError):
-            trace.max("nothing")
-
-    def test_merge_combines_and_sorts(self, trace):
-        other = TraceRecorder()
-        trace.record(2.0, "x", 2)
-        other.record(1.0, "x", 1)
-        other.event(0.5, "e")
-        trace.merge(other)
-        assert trace.samples("x") == [(1.0, 1), (2.0, 2)]
-        assert trace.count_events("e") == 1
+        assert trace.duration_below("spo2", 85.0) == 0.0  # strictly below
+        assert trace.duration_below("spo2", 96.0) == pytest.approx(30.0)
+        assert trace.duration_below("missing", 90.0) == 0.0
 
     def test_to_dict_roundtrip_structure(self, trace):
         trace.record(0.0, "x", 1)
@@ -75,35 +49,6 @@ class TestTraceRecorder:
         trace.event(1.0, "e")
         assert len(trace) == 2
 
-    def test_record_many_bulk_append(self, trace):
-        trace.record(0.0, "spo2", 99.0)
-        trace.record_many("spo2", [1.0, 2.0, 3.0], [98.0, 97.0, 96.0])
-        assert trace.samples("spo2") == [(0.0, 99.0), (1.0, 98.0),
-                                         (2.0, 97.0), (3.0, 96.0)]
-        assert list(trace.times("spo2")) == [0.0, 1.0, 2.0, 3.0]
-        assert len(trace) == 4
-
-    def test_record_many_accepts_numpy_arrays(self, trace):
-        # Regression: the emptiness guard used `not times`, which raises on
-        # multi-element ndarrays — the primary bulk-sampler input type.
-        trace.record_many("x", np.array([1.0, 2.0]), np.array([10.0, 20.0]))
-        trace.record_many("x", np.array([]), np.array([]))
-        assert trace.samples("x") == [(1.0, 10.0), (2.0, 20.0)]
-        # ndarray values must land as Python floats, or to_dict() stops
-        # being JSON-serialisable.
-        import json as json_module
-        json_module.dumps(trace.to_dict())
-
-    def test_record_many_new_signal_and_empty(self, trace):
-        trace.record_many("fresh", [], [])
-        assert trace.samples("fresh") == []
-        trace.record_many("fresh", (0.5,), (1.0,))
-        assert trace.last("fresh") == (0.5, 1.0)
-
-    def test_record_many_length_mismatch_rejected(self, trace):
-        with pytest.raises(ValueError):
-            trace.record_many("x", [1.0, 2.0], [1.0])
-
     def test_times_values_arrays_are_cached_until_write(self, trace):
         trace.record(0.0, "x", 1.0)
         trace.record(1.0, "x", 2.0)
@@ -114,8 +59,6 @@ class TestTraceRecorder:
         second = trace.values("x")
         assert second is not first  # invalidated by the write
         assert list(second) == [1.0, 2.0, 3.0]
-        trace.record_many("x", [3.0], [4.0])
-        assert list(trace.values("x")) == [1.0, 2.0, 3.0, 4.0]
 
     def test_cached_arrays_are_read_only(self, trace):
         trace.record(0.0, "x", 1.0)
@@ -123,20 +66,10 @@ class TestTraceRecorder:
         with pytest.raises(ValueError):
             values[0] = 99.0  # mutating the shared cache would corrupt it
 
-    def test_merge_invalidates_caches(self, trace):
-        trace.record(2.0, "x", 2.0)
-        stale = trace.values("x")
-        other = TraceRecorder()
-        other.record(1.0, "x", 1.0)
-        trace.merge(other)
-        assert list(trace.values("x")) == [1.0, 2.0]
-        assert list(stale) == [2.0]  # the old array is simply detached
-
     def test_missing_signal_queries(self, trace):
         assert trace.samples("nope") == []
         assert trace.times("nope").size == 0
         assert trace.values("nope").size == 0
-        assert trace.last("nope") is None
 
 
 class TestRandomStreams:
